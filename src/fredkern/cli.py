@@ -14,12 +14,13 @@ next to the outputs so the run can be reproduced bit-identically.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,10 +36,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-COMMANDS = ("solve", "det", "resolvent", "scan", "converge", "tailnorm")
-
-_REQUIRED = object()
-
 
 @dataclass
 class RunConfig:
@@ -53,172 +50,166 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# A field type is float (a finite number), int (an integer >= 1), complex (a
+# finite number or [re, im]), str or bool; a one-item list [t] (a non-empty
+# list of t); a tuple of (key, type, default) rows (an object, parsed to a
+# dict); a validating dataclass (an object of the dataclass's own fields,
+# types and defaults); or a function (value, path) -> parsed value.  Defaults
+# are JSON values and are parsed like given ones.  REQUIRED marks a required
+# key; it is the dataclasses' own marker for a field without a default.
+
+REQUIRED = MISSING
+
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def _complex_from(value, path):
-    if isinstance(value, bool):
-        raise ConfigError(path, "expected a number or [re, im]")
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(path, "expected a number or [re, im]")
+def _parse(kind, value, path):
+    """Parse one JSON value as a field type, or raise ConfigError at path."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty list")
+        return [_parse(kind[0], v, f"{path}[{j}]") for j, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        return _fields(kind, value, path)
+    if kind in _EXPECTED:
+        # bool is an int subclass in Python but not a JSON number.  The abs
+        # test rejects NaN, the infinities and integers beyond the float range.
+        if (
+            isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)
+            or kind is float and not abs(value) <= sys.float_info.max
+        ):
+            raise ConfigError(path, f"expected {_EXPECTED[kind]}")
+        if kind is int and value < 1:
+            raise ConfigError(path, "must be >= 1")
+        return float(value) if kind is float else value
+    if kind is complex:
+        re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+        return complex(_parse(float, re, path), _parse(float, im, path))
+    if is_dataclass(kind):
+        return _build(kind, path, **_fields(_dataclass_rows(kind), value, path))
+    return kind(value, path)
 
 
-def _echo_complex(z: complex):
-    return [z.real, z.imag]
+@functools.cache
+def _dataclass_rows(cls):
+    """(field name, annotated type, default) rows of a validating dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default) for f in fields(cls))
 
 
-def _expect(value, types, path, what):
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(path, f"expected {what}")
-    if not isinstance(value, types):
-        raise ConfigError(path, f"expected {what}")
-    return value
-
-
-class _Obj:
-    """Dict wrapper that tracks consumed keys and rejects unknown ones."""
-
-    def __init__(self, data, path):
-        self.data = _expect(data, dict, path, "an object")
-        self.path = path
-        self.taken = set()
-
-    def child(self, key, default=_REQUIRED):
-        sub = self.take(key, default)
-        if sub is default and default is not _REQUIRED:
-            sub = {}
-        return _Obj(sub if sub is not None else {}, self._sub(key))
-
-    def take(self, key, default=_REQUIRED):
-        self.taken.add(key)
-        if key in self.data:
-            return self.data[key]
-        if default is _REQUIRED:
-            raise ConfigError(self._sub(key), "required field is missing")
-        return default
-
-    def finish(self):
-        unknown = set(self.data) - self.taken
-        if unknown:
-            name = sorted(unknown)[0]
-            raise ConfigError(self._sub(name), "unknown key")
-
-    def _sub(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-
-def _basis_from(data, path):
-    o = _Obj(data, path)
-    kind = _expect(o.take("kind"), str, f"{path}.kind", "a string")
-    scale = float(_expect(o.take("scale", 1.0), (int, float), f"{path}.scale", "a number"))
-    shift = float(_expect(o.take("shift", 0.0), (int, float), f"{path}.shift", "a number"))
-    o.finish()
-    if kind not in ("gauss", "x_gauss", "sech"):
-        raise ConfigError(f"{path}.kind", f"unknown basis kind {kind!r}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError(f"{path}.scale", "must be finite and > 0")
-    return kernels.BasisFn(kind, scale, shift)
-
-
-def _kernel_from(data):
-    o = _Obj(data, "kernel")
-    family = _expect(o.take("family"), str, "kernel.family", "a string")
-    label = _expect(o.take("label", ""), str, "kernel.label", "a string")
-    if family == "separable_sum":
-        hermitian = _expect(o.take("hermitian", False), bool, "kernel.hermitian", "a boolean")
-        raw_terms = _expect(o.take("terms"), list, "kernel.terms", "a list")
-        o.finish()
-        if not raw_terms:
-            raise ConfigError("kernel.terms", "needs at least one term")
-        terms = []
-        for j, raw in enumerate(raw_terms):
-            to = _Obj(raw, f"kernel.terms[{j}]")
-            coeff = _complex_from(to.take("coefficient"), f"kernel.terms[{j}].coefficient")
-            left = _basis_from(to.take("left"), f"kernel.terms[{j}].left")
-            right = _basis_from(to.take("right"), f"kernel.terms[{j}].right")
-            to.finish()
-            terms.append((coeff, left, right))
-        return kernels.KernelSpec("separable_sum", tuple(terms), hermitian=hermitian, label=label)
-    if family == "gauss_cauchy":
-        hermitian = _expect(o.take("hermitian", True), bool, "kernel.hermitian", "a boolean")
-        o.finish()
-        return kernels.KernelSpec("gauss_cauchy", hermitian=hermitian, label=label or "gauss-cauchy")
-    if family == "custom_tabulated":
-        hermitian = _expect(o.take("hermitian", False), bool, "kernel.hermitian", "a boolean")
-        radius = _expect(o.take("radius"), (int, float), "kernel.radius", "a number")
-        values = _expect(o.take("values"), list, "kernel.values", "a matrix")
-        o.finish()
-        if not (isinstance(radius, (int, float)) and radius > 0):
-            raise ConfigError("kernel.radius", "must be > 0")
-        try:
-            vals = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("kernel.values", f"not a numeric matrix: {exc}") from None
-        return kernels.KernelSpec(
-            "custom_tabulated",
-            hermitian=hermitian,
-            label=label or "tabulated",
-            table_radius=float(radius),
-            table_values=vals.astype(complex),
-        )
-    raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
-
-
-def _truncation_from(data):
-    o = _Obj(data, "truncation")
-    tau0 = _expect(o.take("tau0", 1.0), (int, float), "truncation.tau0", "a number")
-    growth = _expect(o.take("growth", "arithmetic"), str, "truncation.growth", "a string")
-    step = _expect(o.take("step", 0.5), (int, float), "truncation.step", "a number")
-    ratio = _expect(o.take("ratio", 1.5), (int, float), "truncation.ratio", "a number")
-    o.finish()
-    if not (math.isfinite(tau0) and tau0 > 0):
-        raise ConfigError("truncation.tau0", "must be finite and > 0")
-    if growth not in ("arithmetic", "geometric"):
-        raise ConfigError("truncation.growth", f"unknown growth {growth!r}")
-    if growth == "arithmetic" and not step > 0:
-        raise ConfigError("truncation.step", "must be > 0")
-    if growth == "geometric" and not ratio > 1:
-        raise ConfigError("truncation.ratio", "must be > 1")
-    return kernels.TruncationScheme(float(tau0), growth, float(step), float(ratio))
-
-
-def _schedule_from(data, path):
-    o = _Obj(data, path)
-    kind = _expect(o.take("kind", "zero"), str, f"{path}.kind", "a string")
-    beta0 = _complex_from(o.take("beta0", 0.0), f"{path}.beta0")
-    ratio = _expect(o.take("ratio", 0.5), (int, float), f"{path}.ratio", "a number")
-    o.finish()
-    if kind not in ("zero", "harmonic", "geometric"):
-        raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
-    if kind == "geometric" and not abs(ratio) < 1:
-        raise ConfigError(f"{path}.ratio", "must satisfy |ratio| < 1")
-    return convergence.ShiftSchedule(kind, beta0, float(ratio))
-
-
-def _int_field(o, key, default, path, minimum=1):
-    v = o.take(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(path, "expected an integer")
-    if v < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return v
-
-
-def _n_list_field(o, key, default, path):
-    raw = o.take(key, default)
-    raw = _expect(raw, list, path, "a list of integers")
-    if not raw:
-        raise ConfigError(path, "must be non-empty")
-    out = []
-    for j, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{path}[{j}]", "expected an integer >= 1")
-        out.append(v)
+def _fields(rows, value, path):
+    """Parse a JSON object (null reads as {}) by its (key, type, default)
+    rows into a dict that holds every row's key."""
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    prefix = f"{path}." if path else ""
+    out = {}
+    for key, kind, default in rows:
+        if key not in value and default is REQUIRED:
+            raise ConfigError(prefix + key, "required field is missing")
+        out[key] = _parse(kind, value.get(key, default), prefix + key)
+    unknown = sorted(set(value) - set(out))
+    if unknown:
+        raise ConfigError(prefix + unknown[0], "unknown key")
     return out
+
+
+def _build(cls, path, *args, **kwargs):
+    """Construct a validating dataclass; the bare field name of its
+    ConfigError gets the config path as prefix."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
+
+
+def _rule(kind, ok, message):
+    """kind, then a range or membership check on the parsed value."""
+
+    def parse(value, path):
+        value = _parse(kind, value, path)
+        if not ok(value):
+            raise ConfigError(path, message)
+        return value
+
+    return parse
+
+
+def _one_of(kind, options):
+    return _rule(kind, lambda v: v in options, f"must be one of {options}")
+
+
+_TERM = (("coefficient", complex, REQUIRED), ("left", kernels.BasisFn, REQUIRED),
+         ("right", kernels.BasisFn, REQUIRED))
+
+# The kernel block's keys after "family" and "label", per family.
+_KERNEL_ROWS = {
+    kernels.SEPARABLE_SUM: (("hermitian", bool, False), ("terms", [_TERM], REQUIRED)),
+    kernels.GAUSS_CAUCHY: (("hermitian", bool, True),),
+    kernels.CUSTOM_TABULATED: (("hermitian", bool, False), ("radius", float, REQUIRED),
+                               ("values", [[float]], REQUIRED)),
+}
+_DEFAULT_LABELS = {kernels.GAUSS_CAUCHY: "gauss-cauchy", kernels.CUSTOM_TABULATED: "tabulated"}
+
+
+def _kernel(value, path):
+    family = value.get("family") if isinstance(value, dict) else None
+    rows = _KERNEL_ROWS.get(family) if isinstance(family, str) else ()
+    if rows is None:
+        raise ConfigError(f"{path}.family", f"unknown kernel family {family!r}")
+    kd = _fields((("family", str, REQUIRED), ("label", str, "")) + rows, value, path)
+    kd["label"] = kd["label"] or _DEFAULT_LABELS.get(family, "")
+    return kd
+
+
+_variant = _one_of(str, kernels.VARIANTS)
+_positive = _rule(float, lambda v: v > 0, "must be > 0")
+_region = _rule([float], lambda v: len(v) == 4, "expected [re0, re1, im0, im1]")
+
+# The command blocks: (block, key, type, default).
+FIELDS = (
+    ("quadrature", "panels_per_unit", int, 4),
+    ("quadrature", "order", _one_of(int, quadrature.SUPPORTED_ORDERS), 8),
+    ("det", "n", int, 6),
+    ("det", "m_max", _rule(int, lambda v: v <= fredholm.M_MAX, f"must be <= {fredholm.M_MAX}"), 6),
+    ("det", "lambda", complex, 0.3),
+    ("solve", "n", int, 6),
+    ("solve", "lambda", complex, 0.3),
+    ("solve", "g", kernels.BasisFn, {"kind": "gauss"}),
+    ("resolvent", "n", int, 6),
+    ("resolvent", "lambda", complex, 0.3),
+    ("resolvent", "eval_radius", _positive, 4.0),
+    ("resolvent", "eval_points", _rule(int, lambda v: v >= 2, "must be >= 2"), 33),
+    ("resolvent", "variant", _variant, "plain"),
+    ("scan", "n", int, 6),
+    ("scan", "density", _positive, 4.0),
+    ("scan", "region", _region, [0.0, 2.0, -0.5, 0.5]),
+    ("converge", "lambda", complex, 0.3),
+    ("converge", "n_list", [int], list(range(2, 11))),
+    ("converge", "schedule", convergence.ShiftSchedule, {}),
+    ("converge", "reference", _one_of(str, convergence.REFERENCES), "neumann_disk"),
+    ("converge", "eval_radius", float, 6.5),
+    ("converge", "variant", _variant, "plain"),
+    ("converge", "n_terms", int, 40),
+    ("tailnorm", "m", int, 1),
+    ("tailnorm", "n_list", [int], list(range(2, 11))),
+    ("tailnorm", "variant", _variant, "plain"),
+)
+
+# The whole config: the kernel, the truncation scheme, and the blocks above.
+_CONFIG = (("kernel", _kernel, REQUIRED), ("truncation", kernels.TruncationScheme, {})) + tuple(
+    (block, tuple(row[1:] for row in FIELDS if row[0] == block), {})
+    for block in dict.fromkeys(row[0] for row in FIELDS)
+)
+
+
+def _jsonable(value):
+    """json.dumps fallback for parsed values: complex numbers as [re, im],
+    dataclasses as their fields, which are named like the config keys."""
+    return [value.real, value.imag] if isinstance(value, complex) else vars(value)
 
 
 def parse_config(text: bytes) -> RunConfig:
@@ -228,10 +219,6 @@ def parse_config(text: bytes) -> RunConfig:
     last value and produce a warning line.
     """
     warnings = []
-    try:
-        decoded = text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError("config", f"not valid UTF-8: {exc}") from None
 
     def hook(pairs):
         seen = {}
@@ -242,201 +229,23 @@ def parse_config(text: bytes) -> RunConfig:
         return seen
 
     try:
-        raw = json.loads(decoded, object_pairs_hook=hook)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"malformed JSON: {exc}") from None
+        raw = json.loads(text.decode("utf-8"), object_pairs_hook=hook)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError("config", f"not UTF-8 JSON: {exc}") from None
     for w in warnings:
         logger.warning("config: %s", w)
 
-    top = _Obj(raw, "")
-    kernel = _kernel_from(top.take("kernel"))
-    truncation = _truncation_from(top.take("truncation", {}) or {})
-    q = top.child("quadrature", None)
-    ppu = _int_field(q, "panels_per_unit", 4, "quadrature.panels_per_unit")
-    order = q.take("order", 8)
-    q.finish()
-    if isinstance(order, bool) or not isinstance(order, int) or order not in (4, 8, 16):
-        raise ConfigError("quadrature.order", "must be one of 4, 8, 16")
-
-    blocks = {}
-
-    b = top.child("det", None)
-    blocks["det"] = {
-        "n": _int_field(b, "n", 6, "det.n"),
-        "m_max": _int_field(b, "m_max", 6, "det.m_max"),
-        "lambda": _complex_from(b.take("lambda", 0.3), "det.lambda"),
-    }
-    b.finish()
-    if not 1 <= blocks["det"]["m_max"] <= 8:
-        raise ConfigError("det.m_max", "must lie in [1, 8]")
-
-    b = top.child("solve", None)
-    blocks["solve"] = {
-        "n": _int_field(b, "n", 6, "solve.n"),
-        "lambda": _complex_from(b.take("lambda", 0.3), "solve.lambda"),
-        "g": _basis_from(b.take("g", {"kind": "gauss"}), "solve.g"),
-    }
-    b.finish()
-
-    b = top.child("resolvent", None)
-    blocks["resolvent"] = {
-        "n": _int_field(b, "n", 6, "resolvent.n"),
-        "lambda": _complex_from(b.take("lambda", 0.3), "resolvent.lambda"),
-        "eval_radius": float(
-            _expect(b.take("eval_radius", 4.0), (int, float), "resolvent.eval_radius", "a number")
-        ),
-        "eval_points": _int_field(b, "eval_points", 33, "resolvent.eval_points", minimum=2),
-        "variant": _expect(b.take("variant", "plain"), str, "resolvent.variant", "a string"),
-    }
-    b.finish()
-    if blocks["resolvent"]["variant"] not in ("plain", "tilde"):
-        raise ConfigError("resolvent.variant", "must be 'plain' or 'tilde'")
-    if not blocks["resolvent"]["eval_radius"] > 0:
-        raise ConfigError("resolvent.eval_radius", "must be > 0")
-
-    b = top.child("scan", None)
-    region_raw = b.take("region", [0.0, 2.0, -0.5, 0.5])
-    region_raw = _expect(region_raw, list, "scan.region", "a list of four numbers")
-    if len(region_raw) != 4 or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in region_raw
-    ):
-        raise ConfigError("scan.region", "expected [re0, re1, im0, im1]")
-    density = _expect(b.take("density", 4.0), (int, float), "scan.density", "a number")
-    blocks["scan"] = {
-        "n": _int_field(b, "n", 6, "scan.n"),
-        "density": float(density),
-        "region": tuple(float(v) for v in region_raw),
-    }
-    b.finish()
-    if not blocks["scan"]["density"] > 0:
-        raise ConfigError("scan.density", "must be > 0")
-
-    b = top.child("converge", None)
-    blocks["converge"] = {
-        "lambda": _complex_from(b.take("lambda", 0.3), "converge.lambda"),
-        "n_list": _n_list_field(b, "n_list", list(range(2, 11)), "converge.n_list"),
-        "schedule": _schedule_from(b.take("schedule", {}) or {}, "converge.schedule"),
-        "reference": _expect(
-            b.take("reference", "neumann_disk"), str, "converge.reference", "a string"
-        ),
-        "eval_radius": float(
-            _expect(b.take("eval_radius", 6.5), (int, float), "converge.eval_radius", "a number")
-        ),
-        "variant": _expect(b.take("variant", "plain"), str, "converge.variant", "a string"),
-        "n_terms": _int_field(b, "n_terms", 40, "converge.n_terms"),
-    }
-    b.finish()
-    if blocks["converge"]["reference"] not in ("neumann_disk", "largest_n"):
-        raise ConfigError("converge.reference", "must be 'neumann_disk' or 'largest_n'")
-    if blocks["converge"]["variant"] not in ("plain", "tilde"):
-        raise ConfigError("converge.variant", "must be 'plain' or 'tilde'")
-
-    b = top.child("tailnorm", None)
-    blocks["tailnorm"] = {
-        "m": _int_field(b, "m", 1, "tailnorm.m"),
-        "n_list": _n_list_field(b, "n_list", list(range(2, 11)), "tailnorm.n_list"),
-        "variant": _expect(b.take("variant", "plain"), str, "tailnorm.variant", "a string"),
-    }
-    b.finish()
-    if blocks["tailnorm"]["variant"] not in ("plain", "tilde"):
-        raise ConfigError("tailnorm.variant", "must be 'plain' or 'tilde'")
-
-    top.finish()
-
-    echo = _build_echo(kernel, truncation, ppu, order, blocks)
-    cfg = RunConfig(
-        kernel=kernel,
-        truncation=truncation,
-        panels_per_unit=ppu,
-        order=order,
-        blocks=blocks,
-        echo=echo,
-        warnings=warnings,
-    )
+    blocks = _fields(_CONFIG, raw, "")
+    kd = blocks["kernel"]
+    terms = tuple((t["coefficient"], t["left"], t["right"]) for t in kd.get("terms", ()))
+    kernel = _build(kernels.KernelSpec, "kernel", kd["family"], terms, hermitian=kd["hermitian"],
+                    label=kd["label"], table_radius=kd.get("radius", 0.0), table_values=kd.get("values"))
+    echo = json.loads(json.dumps(blocks, default=_jsonable))
+    quad = blocks["quadrature"]
+    cfg = RunConfig(kernel=kernel, truncation=blocks["truncation"], panels_per_unit=quad["panels_per_unit"],
+                    order=quad["order"], blocks=blocks, echo=echo, warnings=warnings)
     logger.info("config parsed: %s", json.dumps(echo, sort_keys=True))
     return cfg
-
-
-def _echo_basis(fn: kernels.BasisFn):
-    return {"kind": fn.kind, "scale": fn.scale, "shift": fn.shift}
-
-
-def _build_echo(kernel, truncation, ppu, order, blocks):
-    if kernel.family == "separable_sum":
-        kd = {
-            "family": kernel.family,
-            "hermitian": kernel.hermitian,
-            "label": kernel.label,
-            "terms": [
-                {
-                    "coefficient": _echo_complex(complex(c)),
-                    "left": _echo_basis(l),
-                    "right": _echo_basis(r),
-                }
-                for c, l, r in kernel.terms
-            ],
-        }
-    elif kernel.family == "gauss_cauchy":
-        kd = {"family": kernel.family, "hermitian": kernel.hermitian, "label": kernel.label}
-    else:
-        kd = {
-            "family": kernel.family,
-            "hermitian": kernel.hermitian,
-            "label": kernel.label,
-            "radius": kernel.table_radius,
-            "values": [[float(v.real) for v in row] for row in kernel.table_values],
-        }
-    sched = blocks["converge"]["schedule"]
-    return {
-        "kernel": kd,
-        "truncation": {
-            "tau0": truncation.tau0,
-            "growth": truncation.growth,
-            "step": truncation.step,
-            "ratio": truncation.ratio,
-        },
-        "quadrature": {"panels_per_unit": ppu, "order": order},
-        "det": {
-            "n": blocks["det"]["n"],
-            "m_max": blocks["det"]["m_max"],
-            "lambda": _echo_complex(blocks["det"]["lambda"]),
-        },
-        "solve": {
-            "n": blocks["solve"]["n"],
-            "lambda": _echo_complex(blocks["solve"]["lambda"]),
-            "g": _echo_basis(blocks["solve"]["g"]),
-        },
-        "resolvent": {
-            "n": blocks["resolvent"]["n"],
-            "lambda": _echo_complex(blocks["resolvent"]["lambda"]),
-            "eval_radius": blocks["resolvent"]["eval_radius"],
-            "eval_points": blocks["resolvent"]["eval_points"],
-            "variant": blocks["resolvent"]["variant"],
-        },
-        "scan": {
-            "n": blocks["scan"]["n"],
-            "density": blocks["scan"]["density"],
-            "region": list(blocks["scan"]["region"]),
-        },
-        "converge": {
-            "lambda": _echo_complex(blocks["converge"]["lambda"]),
-            "n_list": list(blocks["converge"]["n_list"]),
-            "schedule": {
-                "kind": sched.kind,
-                "beta0": _echo_complex(complex(sched.beta0)),
-                "ratio": sched.ratio,
-            },
-            "reference": blocks["converge"]["reference"],
-            "eval_radius": blocks["converge"]["eval_radius"],
-            "variant": blocks["converge"]["variant"],
-            "n_terms": blocks["converge"]["n_terms"],
-        },
-        "tailnorm": {
-            "m": blocks["tailnorm"]["m"],
-            "n_list": list(blocks["tailnorm"]["n_list"]),
-            "variant": blocks["tailnorm"]["variant"],
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,196 +276,152 @@ def _format_cell(v):
     return f"{float(v):.16e}"
 
 
-def _write_echo(cfg: RunConfig, out_dir: str):
-    path = os.path.join(out_dir, "config_echo.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(cfg.echo, indent=2, sort_keys=True))
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_det(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["det"]
-    lam = opts.get("lambda", block["lambda"])
-    grid = quadrature.build_grid(cfg.truncation, block["n"], cfg.panels_per_unit, cfg.order)
-    m = quadrature.nystrom_matrix(cfg.kernel, cfg.truncation, block["n"], "plain", grid)
-    d = fredholm.det_matrix(m, lam)
+def _grid(cfg: RunConfig, n: int):
+    return quadrature.build_grid(cfg.truncation, n, cfg.panels_per_unit, cfg.order)
+
+
+# Each command reads its config block (with any --lambda/--region override)
+# and returns the file name and named columns of its CSV output, if any.
+
+
+def _cmd_det(cfg: RunConfig, block):
+    n = block["n"]
+    m = quadrature.nystrom_matrix(cfg.kernel, cfg.truncation, n, "plain", _grid(cfg, n))
+    d = fredholm.det_matrix(m, block["lambda"])
     sys.stdout.write(f"D {d.value.real:.16e} {d.value.imag:.16e}\n")
-    _write_echo(cfg, out_dir)
-    return 0
 
 
-def _cmd_solve(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["solve"]
-    lam = opts.get("lambda", block["lambda"])
-    grid = quadrature.build_grid(cfg.truncation, block["n"], cfg.panels_per_unit, cfg.order)
-    handle = resolvent.make_resolvent(cfg.kernel, cfg.truncation, block["n"], lam, grid)
+def _cmd_solve(cfg: RunConfig, block):
+    grid = _grid(cfg, block["n"])
+    handle = resolvent.make_resolvent(cfg.kernel, cfg.truncation, block["n"], block["lambda"], grid)
     g = block["g"](grid.nodes).astype(complex)
     f = resolvent.solve_equation(handle, g)
-    rows = [
-        (x, fv.real, fv.imag, gv.real) for x, fv, gv in zip(grid.nodes, f, g)
-    ]
-    emit_grid_csv(os.path.join(out_dir, "solution.csv"), ["x", "f_re", "f_im", "g_re"], rows)
-    _write_echo(cfg, out_dir)
-    return 0
+    return "solution.csv", {"x": grid.nodes, "f_re": f.real, "f_im": f.imag, "g_re": g.real}
 
 
-def _cmd_resolvent(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["resolvent"]
-    lam = opts.get("lambda", block["lambda"])
-    grid = quadrature.build_grid(cfg.truncation, block["n"], cfg.panels_per_unit, cfg.order)
+def _cmd_resolvent(cfg: RunConfig, block):
+    n = block["n"]
     handle = resolvent.make_resolvent(
-        cfg.kernel, cfg.truncation, block["n"], lam, grid, variant=block["variant"]
+        cfg.kernel, cfg.truncation, n, block["lambda"], _grid(cfg, n), variant=block["variant"]
     )
     pts = np.linspace(-block["eval_radius"], block["eval_radius"], block["eval_points"])
-    vals = handle.eval_grid_matrix(pts, pts)
-    rows = []
-    for i, s in enumerate(pts):
-        for j, t in enumerate(pts):
-            rows.append((s, t, vals[i, j].real, vals[i, j].imag))
-    emit_grid_csv(os.path.join(out_dir, "resolvent_grid.csv"), ["s", "t", "re", "im"], rows)
-    _write_echo(cfg, out_dir)
-    return 0
+    vals = handle.eval_grid_matrix(pts, pts).ravel()
+    s, t = (axis.ravel() for axis in np.meshgrid(pts, pts, indexing="ij"))
+    return "resolvent_grid.csv", {"s": s, "t": t, "re": vals.real, "im": vals.imag}
 
 
-def _cmd_scan(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["scan"]
-    region = opts.get("region", block["region"])
-    grid = quadrature.build_grid(cfg.truncation, block["n"], cfg.panels_per_unit, cfg.order)
+def _cmd_scan(cfg: RunConfig, block):
+    n = block["n"]
     result = fredholm.char_scan(
-        cfg.kernel, cfg.truncation, block["n"], region, block["density"], grid
+        cfg.kernel, cfg.truncation, n, block["region"], block["density"], _grid(cfg, n)
     )
-    rows = [(z.real, z.imag) for z in result.zeros]
-    emit_grid_csv(os.path.join(out_dir, "zeros.csv"), ["lambda_re", "lambda_im"], rows)
-    _write_echo(cfg, out_dir)
-    return 0
+    zeros = np.array(result.zeros, dtype=complex)
+    return "zeros.csv", {"lambda_re": zeros.real, "lambda_im": zeros.imag}
 
 
-def _cmd_converge(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["converge"]
-    lam = opts.get("lambda", block["lambda"])
+def _cmd_converge(cfg: RunConfig, block):
     r = block["eval_radius"]
     eval_grid = quadrature.grid_on_interval(-r, r, 1, cfg.order)
     report = convergence.resolvent_convergence_diagnostic(
-        cfg.kernel,
-        cfg.truncation,
-        lam,
-        block["schedule"],
-        block["n_list"],
-        eval_grid,
-        reference=block["reference"],
-        variant=block["variant"],
-        panels_per_unit=cfg.panels_per_unit,
-        order=cfg.order,
-        n_terms=block["n_terms"],
+        cfg.kernel, cfg.truncation, block["lambda"], block["schedule"], block["n_list"], eval_grid,
+        reference=block["reference"], variant=block["variant"], panels_per_unit=cfg.panels_per_unit,
+        order=cfg.order, n_terms=block["n_terms"],
     )
-    rows = [
-        (n, cfg.truncation.tau(n), dt, dr, dc)
-        for n, dt, dr, dc in zip(
-            report.n_values, report.sup_T_diff, report.sup_row_diff, report.sup_col_diff
-        )
-    ]
-    emit_grid_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        ["n", "tau_n", "sup_T_diff", "sup_row_diff", "sup_col_diff"],
-        rows,
-    )
-    _write_echo(cfg, out_dir)
-    return 0
+    return "convergence.csv", {
+        "n": report.n_values,
+        "tau_n": [cfg.truncation.tau(n) for n in report.n_values],
+        "sup_T_diff": report.sup_T_diff,
+        "sup_row_diff": report.sup_row_diff,
+        "sup_col_diff": report.sup_col_diff,
+    }
 
 
-def _cmd_tailnorm(cfg: RunConfig, opts, out_dir):
-    block = cfg.blocks["tailnorm"]
+def _cmd_tailnorm(cfg: RunConfig, block):
     n_list = sorted(block["n_list"])
     radius = max(cfg.kernel.tail_radius(), cfg.truncation.tau(max(n_list)) + 1.0)
     disc = quadrature.grid_on_interval(-radius, radius, cfg.panels_per_unit, cfg.order)
     seq = convergence.tail_condition_report(
         cfg.kernel, cfg.truncation, block["m"], n_list, disc, variant=block["variant"]
     )
-    rows = [(n, cfg.truncation.tau(n), v) for n, v in zip(n_list, seq)]
-    emit_grid_csv(os.path.join(out_dir, "tailnorm.csv"), ["n", "tau_n", "tail_norm"], rows)
-    _write_echo(cfg, out_dir)
-    return 0
+    taus = [cfg.truncation.tau(n) for n in n_list]
+    return "tailnorm.csv", {"n": n_list, "tau_n": taus, "tail_norm": seq}
 
 
 _DISPATCH = {
-    "det": _cmd_det,
     "solve": _cmd_solve,
+    "det": _cmd_det,
     "resolvent": _cmd_resolvent,
     "scan": _cmd_scan,
     "converge": _cmd_converge,
     "tailnorm": _cmd_tailnorm,
 }
+COMMANDS = tuple(_DISPATCH)
+
+# stderr line prefix and exit code per failure, most specific class first.
+_FAILURES = (
+    (ConfigError, 1, lambda e: f"E_CONFIG {e.path} {e.message}"),
+    (CharacteristicValueError, 2, lambda e: f"E_CHARACTERISTIC lambda={e.lam.real:.16e},{e.lam.imag:.16e}"),
+    (NeumannDivergenceError, 2, lambda e: (
+        f"E_NEUMANN_DIVERGENT lambda={e.lam.real:.16e},{e.lam.imag:.16e} norm={e.norm:.16e}")),
+    (PoleError, 2, lambda e: f"E_POLE {e}"),
+    (BudgetExceededError, 1, lambda e: f"E_BUDGET {e}"),
+    (OSError, 1, lambda e: f"E_IO {e}"),
+    (FredkernError, 1, lambda e: f"E_INTERNAL {e}"),
+    (Exception, 1, lambda e: f"E_INTERNAL {type(e).__name__}: {e}"),
+)
 
 
 # ---------------------------------------------------------------------------
 # argv handling
 
 
-def _parse_lambda(text):
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError("argv.lambda", f"expected re or re,im, got {text!r}")
+def _argv_numbers(kind, path):
+    """An option value of comma-separated numbers, parsed as config type kind."""
+
+    def parse(text):
+        try:
+            values = [float(p) for p in text.split(",")]
+        except ValueError:
+            raise ConfigError(path, f"expected comma-separated numbers, got {text!r}") from None
+        return _parse(kind, values[0] if len(values) == 1 else values, path)
+
+    return parse
 
 
-def _parse_region(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("argv.region", f"expected re0,re1,im0,im1, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError("argv.region", f"expected four numbers, got {text!r}") from None
+_FLAGS = {
+    "--config": str,
+    "--out": str,
+    "--lambda": _argv_numbers(complex, "argv.lambda"),
+    "--region": _argv_numbers(_region, "argv.region"),
+}
 
 
 def _parse_argv(argv):
-    if not argv:
-        raise ConfigError("argv", f"missing command; expected one of {', '.join(COMMANDS)}")
-    command = argv[0]
+    command = argv[0] if argv else None
     if command not in COMMANDS:
-        raise ConfigError("argv", f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    opts = {}
-    i = 1
-    while i < len(argv):
-        flag = argv[i]
-        if flag not in ("--config", "--lambda", "--region", "--out"):
+        raise ConfigError("argv", f"expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
+    flags, values = argv[1::2], argv[2::2]
+    for flag in flags:
+        if flag not in _FLAGS:
             raise ConfigError("argv", f"unknown option {flag!r}")
-        if i + 1 >= len(argv):
-            raise ConfigError("argv", f"option {flag} needs a value")
-        value = argv[i + 1]
-        i += 2
-        if flag == "--config":
-            opts["config"] = value
-        elif flag == "--lambda":
-            opts["lambda"] = _parse_lambda(value)
-        elif flag == "--region":
-            opts["region"] = _parse_region(value)
-        else:
-            opts["out"] = value
+    if len(values) < len(flags):
+        raise ConfigError("argv", f"option {flags[-1]} needs a value")
+    opts = {flag[2:]: _FLAGS[flag](value) for flag, value in zip(flags, values)}
     if "config" not in opts:
         raise ConfigError("argv", "--config is required")
     return command, opts
 
 
 def _apply_thread_cap():
-    raw = os.environ.get("FREDKERN_THREADS")
+    raw = os.environ.get("FREDKERN_THREADS", "").strip()
     if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("env.FREDKERN_THREADS", f"expected an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("env.FREDKERN_THREADS", "must be >= 1")
+        return
+    # Digits read as an int; any other text stays a string, which the int type rejects.
+    n = _parse(int, int(raw) if raw.isdigit() else raw, "env.FREDKERN_THREADS")
     # A cap, not a request: never push the pools above machine parallelism.
     n = min(n, os.cpu_count() or 1)
     try:
@@ -666,7 +431,6 @@ def _apply_thread_cap():
     except ImportError:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(n)
-    return n
 
 
 def run_command(argv) -> int:
@@ -682,35 +446,19 @@ def run_command(argv) -> int:
         cfg = parse_config(text)
         out_dir = opts.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
-        return _DISPATCH[command](cfg, opts, out_dir)
-    except ConfigError as exc:
-        sys.stderr.write(f"E_CONFIG {exc.path} {exc.message}\n")
-        return 1
-    except CharacteristicValueError as exc:
-        sys.stderr.write(
-            f"E_CHARACTERISTIC lambda={exc.lam.real:.16e},{exc.lam.imag:.16e}\n"
-        )
-        return 2
-    except NeumannDivergenceError as exc:
-        sys.stderr.write(
-            f"E_NEUMANN_DIVERGENT lambda={exc.lam.real:.16e},{exc.lam.imag:.16e} norm={exc.norm:.16e}\n"
-        )
-        return 2
-    except PoleError as exc:
-        sys.stderr.write(f"E_POLE {exc}\n")
-        return 2
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"E_BUDGET {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"E_IO {exc}\n")
-        return 1
-    except FredkernError as exc:
-        sys.stderr.write(f"E_INTERNAL {exc}\n")
-        return 1
+        # No block has a "config" or "out" key, so opts only overrides lambda/region.
+        table = _DISPATCH[command](cfg, {**cfg.blocks[command], **opts})
+        if table:
+            name, columns = table
+            emit_grid_csv(os.path.join(out_dir, name), columns, zip(*columns.values()))
+        with open(os.path.join(out_dir, "config_echo.json"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(json.dumps(cfg.echo, indent=2, sort_keys=True))
+            fh.write("\n")
+        return 0
     except Exception as exc:  # keep the exit-code contract even on bugs
-        sys.stderr.write(f"E_INTERNAL {type(exc).__name__}: {exc}\n")
-        return 1
+        code, line = next((code, line) for cls, code, line in _FAILURES if isinstance(exc, cls))
+        sys.stderr.write(line(exc) + "\n")
+        return code
 
 
 def main():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CharacteristicValueError, NeumannDivergenceError, PoleError
+from .errors import CharacteristicValueError, ConfigError, NeumannDivergenceError, PoleError
 from .kernels import KernelSpec, TruncationScheme, subkernel_eval
 from .quadrature import (
     Discretization,
@@ -27,7 +27,9 @@ from .quadrature import (
     tail_norm,
     top_singular_value,
 )
-from .resolvent import make_resolvent, neumann_kernel_matrix
+from .resolvent import _neumann_matrix, make_resolvent, neumann_kernel_matrix
+
+REFERENCES = ("neumann_disk", "largest_n")
 
 
 @dataclass(frozen=True)
@@ -38,18 +40,18 @@ class ShiftSchedule:
     with |ratio| < 1.
     """
 
-    kind: str
+    kind: str = "zero"
     beta0: complex = 0.0
     ratio: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("zero", "harmonic", "geometric"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError("kind", f"unknown schedule kind {self.kind!r}")
         b = complex(self.beta0)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-            raise ValueError("beta0 must be finite")
+            raise ConfigError("beta0", "must be finite")
         if self.kind == "geometric" and not abs(self.ratio) < 1:
-            raise ValueError("geometric schedule needs |ratio| < 1")
+            raise ConfigError("ratio", "must satisfy |ratio| < 1")
 
     def beta(self, n: int) -> complex:
         if n < 1:
@@ -91,31 +93,6 @@ def _row_col_distances(h_vals, ref_vals, weights, axis):
     return float(np.max(norms)) if norms.size else 0.0
 
 
-class _ReferenceEval:
-    """Uniform access to the reference resolvent kernel on point grids."""
-
-    def __init__(self, kind, *, handle=None, kernel=None, lam=None, disc=None, n_terms=40):
-        self.kind = kind
-        self.handle = handle
-        self.kernel = kernel
-        self.lam = lam
-        self.disc = disc
-        self.n_terms = n_terms
-        self.matrix = None
-        if kind == "neumann_disk":
-            self.matrix = full_matrix(kernel, disc)
-            norm_t = matrix_norm_estimate(self.matrix, disc.weights)
-            if abs(complex(lam)) * norm_t >= 1.0:
-                raise NeumannDivergenceError(lam, norm_t)
-
-    def values(self, s_pts, t_pts):
-        if self.kind == "largest_n":
-            return self.handle.eval_grid_matrix(s_pts, t_pts)
-        return neumann_kernel_matrix(
-            self.kernel, self.lam, s_pts, t_pts, self.disc, self.n_terms, _matrix=self.matrix
-        )
-
-
 def resolvent_convergence_diagnostic(
     k: KernelSpec,
     trunc: TruncationScheme,
@@ -152,10 +129,12 @@ def resolvent_convergence_diagnostic(
 
     reference_n = None
     if reference == "neumann_disk":
-        # Construction raises NeumannDivergenceError outside the disk.
-        ref = _ReferenceEval(
-            "neumann_disk", kernel=k, lam=lam, disc=norm_grid, n_terms=n_terms
-        )
+        # Raises NeumannDivergenceError outside the disk.
+        a = _neumann_matrix(k, lam, norm_grid)[0]
+
+        def ref_values(s_pts, t_pts):
+            return neumann_kernel_matrix(k, lam, s_pts, t_pts, norm_grid, n_terms, _matrix=a)
+
     elif reference == "largest_n":
         # Fall back to the largest regular index when the shifted lambda is
         # numerically characteristic at the top of the list.
@@ -172,16 +151,16 @@ def resolvent_convergence_diagnostic(
                 last_err = err
         if h_ref is None:
             raise last_err
-        ref = _ReferenceEval("largest_n", handle=h_ref)
+        ref_values = h_ref.eval_grid_matrix
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
     e = eval_grid.nodes
     y = norm_grid.nodes
     wy = norm_grid.weights
-    ref_t = ref.values(e, e)
-    ref_rows = ref.values(e, y)
-    ref_cols = ref.values(y, e)
+    ref_t = ref_values(e, e)
+    ref_rows = ref_values(e, y)
+    ref_cols = ref_values(y, e)
 
     used, skipped = [], []
     sup_t, sup_row, sup_col = [], [], []

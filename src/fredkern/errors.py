@@ -5,8 +5,12 @@ class FredkernError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(FredkernError):
-    """Invalid configuration; carries the offending field path."""
+class ConfigError(FredkernError, ValueError):
+    """Invalid configuration; carries the offending field path.
+
+    The validating dataclasses raise it with a bare field name; the CLI
+    prefixes the path of the config block the value came from.
+    """
 
     def __init__(self, path, message):
         self.path = path

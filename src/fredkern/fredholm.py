@@ -20,6 +20,9 @@ from .quadrature import Discretization, NystromMatrix, nystrom_matrix
 
 DEFAULT_NODE_CEILING = 4096
 
+# Highest series order det_series and minor_series evaluate.
+M_MAX = 8
+
 # Below this, det is treated as numerically zero and lambda as characteristic.
 NEAR_ZERO_COEFF = 1e-10
 
@@ -82,7 +85,8 @@ def fredholm_coefficients(a: np.ndarray, m_max: int) -> np.ndarray:
 
 
 def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
-    """Sum of Hadamard bounds |lambda|^m m^{m/2} (sup|K| vol)^m / m! over m > m_max."""
+    """Sum of Hadamard bounds |lambda|^m m^{m/2} (sup|K| vol)^m / m! over m > m_max;
+    inf once a term exceeds the float range."""
     base = abs(lam) * sup_k * vol
     if base == 0.0:
         return 0.0
@@ -94,7 +98,10 @@ def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
             if m > 2 * (math.e * base) ** 2 + m_max:
                 break
             continue
-        total += math.exp(log_term)
+        try:
+            total += math.exp(log_term)
+        except OverflowError:
+            return math.inf
     return total
 
 
@@ -119,8 +126,8 @@ def det_series(
 ) -> DetResult:
     """Partial sum of the determinant series through order m_max, with a
     Hadamard bound on the dropped tail."""
-    if not 1 <= m_max <= 8:
-        raise ValueError("m_max must lie in [1, 8]")
+    if not 1 <= m_max <= M_MAX:
+        raise ValueError(f"m_max must lie in [1, {M_MAX}]")
     kvals, a = _series_matrix(k, trunc, n, grid, node_ceiling)
     c = fredholm_coefficients(a, m_max)
     lam = complex(lam)
@@ -149,8 +156,8 @@ def minor_series(
     which reproduces the (m+1)-dimensional determinant integrals after
     symmetrized quadrature.
     """
-    if not 1 <= m_max <= 8:
-        raise ValueError("m_max must lie in [1, 8]")
+    if not 1 <= m_max <= M_MAX:
+        raise ValueError(f"m_max must lie in [1, {M_MAX}]")
     _, a = _series_matrix(k, trunc, n, grid, node_ceiling)
     c = fredholm_coefficients(a, m_max)
     x = grid.nodes

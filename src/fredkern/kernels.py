@@ -23,6 +23,7 @@ CUSTOM_TABULATED = "custom_tabulated"
 
 _FAMILIES = (SEPARABLE_SUM, GAUSS_CAUCHY, CUSTOM_TABULATED)
 _BASIS_KINDS = ("gauss", "x_gauss", "sech")
+VARIANTS = ("plain", "tilde")
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,9 @@ class BasisFn:
         if self.kind not in _BASIS_KINDS:
             raise ConfigError("kind", f"unknown basis kind {self.kind!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("scale", "scale must be finite and > 0")
+            raise ConfigError("scale", "must be finite and > 0")
         if not math.isfinite(self.shift):
-            raise ConfigError("shift", "shift must be finite")
+            raise ConfigError("shift", "must be finite")
 
     def __call__(self, x):
         y = (np.asarray(x, dtype=float) - self.shift) * self.scale
@@ -81,15 +82,17 @@ class KernelSpec:
                 if not isinstance(left, BasisFn) or not isinstance(right, BasisFn):
                     raise ConfigError(f"terms[{j}]", "left/right must be BasisFn")
         if self.family == CUSTOM_TABULATED:
-            if self.table_values is None or self.table_radius <= 0:
-                raise ConfigError(
-                    "table", "custom_tabulated needs table_radius > 0 and table_values"
-                )
-            vals = np.asarray(self.table_values, dtype=complex)
-            if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
-                raise ConfigError("table.values", "must be a square matrix, size >= 2")
+            if not (math.isfinite(self.table_radius) and self.table_radius > 0):
+                raise ConfigError("radius", "must be finite and > 0")
+            try:
+                vals = np.asarray(self.table_values, dtype=complex)
+                square = vals.ndim == 2 and vals.shape[0] == vals.shape[1] >= 2
+            except ValueError:  # ragged rows
+                square = False
+            if not square:
+                raise ConfigError("values", "must be a square matrix, size >= 2")
             if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-                raise ConfigError("table.values", "must be finite")
+                raise ConfigError("values", "must be finite")
             object.__setattr__(self, "table_values", vals)
 
     @property
@@ -130,13 +133,13 @@ class TruncationScheme:
 
     def __post_init__(self):
         if not (math.isfinite(self.tau0) and self.tau0 > 0):
-            raise ConfigError("truncation.tau0", "tau0 must be finite and > 0")
+            raise ConfigError("tau0", "must be finite and > 0")
         if self.growth not in ("arithmetic", "geometric"):
-            raise ConfigError("truncation.growth", f"unknown growth {self.growth!r}")
-        if self.growth == "arithmetic" and not self.step > 0:
-            raise ConfigError("truncation.step", "step must be > 0")
-        if self.growth == "geometric" and not self.ratio > 1:
-            raise ConfigError("truncation.ratio", "ratio must be > 1")
+            raise ConfigError("growth", f"unknown growth {self.growth!r}")
+        if self.growth == "arithmetic" and not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError("step", "must be finite and > 0")
+        if self.growth == "geometric" and not (math.isfinite(self.ratio) and self.ratio > 1):
+            raise ConfigError("ratio", "must be finite and > 1")
 
     def tau(self, n: int) -> float:
         if n < 1:
@@ -202,8 +205,8 @@ def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
     masks both.  Equals eval_kernel inside the mask, zero outside."""
     if n < 1:
         raise ValueError("subkernel index n must be >= 1")
-    if variant not in ("plain", "tilde"):
-        raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     out = np.asarray(eval_kernel(k, s, t)) * trunc.chi(n, s)
     if variant == "tilde":
         out = out * trunc.chi(n, t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
+from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
 
 SUPPORTED_ORDERS = (4, 8, 16)
 
@@ -139,10 +139,7 @@ def _weighted_form(entries: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) ->
 
 def operator_norm_estimate(m: NystromMatrix) -> float:
     """Operator norm (top singular value) of the discretized integral operator."""
-    w = m.grid.weights
-    b = _weighted_form(m.entries, w, w)
-    bh = b.conj().T
-    return top_singular_value(lambda v: b @ v, lambda u: bh @ u, b.shape[1])
+    return matrix_norm_estimate(m.entries, m.grid.weights)
 
 
 def matrix_norm_estimate(entries: np.ndarray, weights: np.ndarray) -> float:
@@ -170,8 +167,8 @@ def tail_norm(
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
-    if variant not in ("plain", "tilde"):
-        raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     tau = trunc.tau(n)
     radius = grid_outer.radius
     if radius <= tau + 1e-12:

@@ -11,7 +11,6 @@ cross-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CharacteristicValueError, NeumannDivergenceError
 from .fredholm import DetResult, det_from_lu, is_characteristic
-from .kernels import KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
+from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
 from .quadrature import (
     Discretization,
     NystromMatrix,
@@ -47,8 +46,6 @@ class ResolventHandle:
     matrix: NystromMatrix
     lu: tuple
     variant: str
-    path: str
-    opnorm: float
     det_scale: float = 1.0
 
     @property
@@ -59,22 +56,6 @@ class ResolventHandle:
         """Negative control: evaluations behave as if det were scaled by factor."""
         return replace(self, det_scale=self.det_scale * factor)
 
-    # -- internal application helpers -------------------------------------
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - lambda*A)^{-1} rhs, by LU or by Neumann iteration per path."""
-        if self.path == "fredholm":
-            return lu_solve(self.lu, rhs)
-        rate = abs(self.lam) * self.opnorm
-        n_iter = 60
-        if 0 < rate < 1:
-            n_iter = min(20000, max(60, int(math.ceil(math.log(1e-16) / math.log(rate)))))
-        x = np.array(rhs, dtype=complex)
-        a = self.matrix.entries
-        for _ in range(n_iter):
-            x = rhs + self.lam * (a @ x)
-        return x
-
     def columns_at(self, t) -> np.ndarray:
         """Resolvent kernel at (nodes, t): the solution of the second-kind
         system with right-hand side K_n(., t).  Shape (N,) or (N, len(t))."""
@@ -84,7 +65,7 @@ class ResolventHandle:
             subkernel_eval(self.kernel, self.trunc, self.n, "plain", x[:, None], t_arr[None, :]),
             dtype=complex,
         )
-        sol = self._solve(rhs)
+        sol = lu_solve(self.lu, rhs)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return sol[:, 0]
         return sol
@@ -122,7 +103,7 @@ class ResolventHandle:
         g = np.asarray(g, dtype=complex)
         if self.variant == "tilde":
             g = g * self.trunc.chi(self.n, self.grid.nodes)
-        u = self._solve(g)
+        u = lu_solve(self.lu, g)
         return (self.matrix.entries @ u) / self.det_scale
 
 
@@ -140,14 +121,10 @@ def make_resolvent(
     lam: complex,
     grid: Discretization,
     variant: str = "plain",
-    path: str = "fredholm",
 ) -> ResolventHandle:
-    """Build a resolvent handle; lambda must not be numerically characteristic,
-    and the neumann path additionally requires |lambda|*||T_n|| < 1."""
-    if variant not in ("plain", "tilde"):
-        raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    if path not in ("fredholm", "neumann"):
-        raise ValueError(f"path must be 'fredholm' or 'neumann', got {path!r}")
+    """Build a resolvent handle; lambda must not be numerically characteristic."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
     m = nystrom_matrix(k, trunc, n, "plain", grid)
     dim = m.entries.shape[0]
@@ -155,9 +132,6 @@ def make_resolvent(
     det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
     if is_characteristic(det.value, lam):
         raise CharacteristicValueError(lam, det.value)
-    opn = matrix_norm_estimate(m.entries, grid.weights)
-    if path == "neumann" and abs(lam) * opn >= 1.0:
-        raise NeumannDivergenceError(lam, opn)
     return ResolventHandle(
         kernel=k,
         trunc=trunc,
@@ -167,8 +141,6 @@ def make_resolvent(
         matrix=m,
         lu=lu_piv,
         variant=variant,
-        path=path,
-        opnorm=opn,
     )
 
 
@@ -281,6 +253,16 @@ def _carleman_sup_norms(k: KernelSpec, disc: Discretization):
     return row, col
 
 
+def _neumann_matrix(k: KernelSpec, lam: complex, disc: Discretization):
+    """Full-kernel collocation matrix on disc and its norm estimate, raising
+    NeumannDivergenceError unless |lambda| * ||T|| < 1."""
+    a = full_matrix(k, disc)
+    norm_t = matrix_norm_estimate(a, disc.weights)
+    if abs(complex(lam)) * norm_t >= 1.0:
+        raise NeumannDivergenceError(lam, norm_t)
+    return a, norm_t
+
+
 def neumann_full(
     k: KernelSpec, lam: complex, s: float, t: float, disc: Discretization, n_terms: int
 ) -> NeumannValue:
@@ -292,24 +274,12 @@ def neumann_full(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    lam = complex(lam)
-    a = full_matrix(k, disc)
-    norm_t = matrix_norm_estimate(a, disc.weights)
-    rate = abs(lam) * norm_t
-    if rate >= 1.0:
-        raise NeumannDivergenceError(lam, norm_t)
-    x = disc.nodes
-    w = disc.weights
-    row_w = np.asarray(eval_kernel(k, s, x), dtype=complex) * w
-    col = np.asarray(eval_kernel(k, x, t), dtype=complex)
-    total = complex(eval_kernel(k, s, t))
-    vec = col
-    for j in range(2, n_terms + 1):
-        total += lam ** (j - 1) * complex(row_w @ vec)
-        vec = a @ vec
+    a, norm_t = _neumann_matrix(k, lam, disc)
+    value = neumann_kernel_matrix(k, lam, s, t, disc, n_terms, _matrix=a)[0, 0]
+    rate = abs(complex(lam)) * norm_t
     sup_row, sup_col = _carleman_sup_norms(k, disc)
     tail = sup_row * sup_col * rate ** (n_terms - 1) / (1.0 - rate)
-    return NeumannValue(value=total, tail_bound=float(tail), terms=n_terms)
+    return NeumannValue(value=complex(value), tail_bound=float(tail), terms=n_terms)
 
 
 def neumann_kernel_matrix(
@@ -323,19 +293,13 @@ def neumann_kernel_matrix(
 ) -> np.ndarray:
     """Vectorized partial Neumann series on the product grid s_pts x t_pts.
 
-    _matrix optionally reuses a precomputed full-kernel collocation matrix on
-    the same disc (with its validity already checked by the caller).
+    _matrix optionally reuses the matrix `_neumann_matrix` returned for the
+    same kernel, lambda and disc.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     lam = complex(lam)
-    if _matrix is None:
-        a = full_matrix(k, disc)
-        norm_t = matrix_norm_estimate(a, disc.weights)
-        if abs(lam) * norm_t >= 1.0:
-            raise NeumannDivergenceError(lam, norm_t)
-    else:
-        a = _matrix
+    a = _neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix
     s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
     x = disc.nodes

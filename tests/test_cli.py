@@ -1,13 +1,20 @@
 """Config validation, command dispatch, CSV emission, reproducibility."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredkern as fk
-from fredkern.cli import emit_grid_csv, parse_config, run_command
+from fredkern.cli import FIELDS, emit_grid_csv, parse_config, run_command
 from conftest import gauss_overlap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ECHO = os.path.join(ROOT, "tests", "data", "echo")
 
 RANK1_CONFIG = {
     "kernel": {
@@ -81,6 +88,124 @@ def test_parse_rejects_bad_values():
     with pytest.raises(fk.ConfigError) as err:
         parse_config(config_bytes({"truncation": {"growth": "geometric", "ratio": 0.8}}))
     assert err.value.path == "truncation.ratio"
+    bad["kernel"]["terms"][0]["left"]["scale"] = 1.0
+    bad["kernel"]["terms"][0]["left"]["shift"] = float("nan")
+    with pytest.raises(fk.ConfigError) as err:
+        parse_config(json.dumps(bad).encode())
+    assert err.value.path == "kernel.terms[0].left.shift"
+    ragged = {"family": "custom_tabulated", "radius": 2.0, "values": [[1.0, 0.5], [0.5]]}
+    with pytest.raises(fk.ConfigError) as err:
+        parse_config(config_bytes({"kernel": ragged}))
+    assert err.value.path == "kernel.values"
+
+
+@pytest.mark.parametrize(
+    "command, extra, argv, path",
+    [
+        ("det", {"det": {"lambda": float("nan")}}, [], "det.lambda"),
+        ("det", None, ["--lambda", "nan"], "argv.lambda"),
+        ("scan", {"scan": {"density": float("inf")}}, [], "scan.density"),
+        ("scan", {"scan": {"region": [0.0, float("inf"), -0.5, 0.5]}}, [], "scan.region[1]"),
+        ("scan", None, ["--region", "0,inf,-0.5,0.5"], "argv.region[1]"),
+        ("det", {"truncation": {"step": float("inf")}}, [], "truncation.step"),
+        ("resolvent", {"resolvent": {"eval_radius": float("inf")}}, [], "resolvent.eval_radius"),
+        ("converge", {"converge": {"lambda": float("inf")}}, [], "converge.lambda"),
+        ("det", {"converge": {"eval_radius": float("nan")}}, [], "converge.eval_radius"),
+    ],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, command, extra, argv, path):
+    # json.dumps writes NaN and Infinity, which json.loads accepts.
+    config = write_config(tmp_path, extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command([command, "--config", config, "--out", str(tmp_path)] + argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"E_CONFIG {path} ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "demos/config_rank1.json",
+        "tests/data/echo/gauss_cauchy_min.json",
+        "tests/data/echo/tabulated.json",
+        "tests/data/echo/full_override.json",
+    ],
+)
+def test_config_echo_matches_golden(tmp_path, config):
+    # The golden files hold the echo written before the field-table parser.
+    assert run_command(["det", "--config", os.path.join(ROOT, config), "--out", str(tmp_path)]) == 0
+    golden = os.path.join(ECHO, os.path.basename(config).replace(".json", ".echo.json"))
+    with open(golden, "rb") as fh:
+        assert (tmp_path / "config_echo.json").read_bytes() == fh.read()
+
+
+BLOCK_KEYS = {"kernel": ["family", "label", "hermitian", "terms", "radius", "values"],
+              "truncation": ["tau0", "growth", "step", "ratio"]}
+for _block, _key, _, _ in FIELDS:
+    BLOCK_KEYS.setdefault(_block, []).append(_key)
+# Where a generated value may land: whole blocks, their keys, and the keys of
+# the nested objects.
+PATHS = (
+    [(block,) for block in BLOCK_KEYS]
+    + [(block, key) for block, keys in BLOCK_KEYS.items() for key in keys]
+    + [("kernel", "terms", 0, key) for key in ("coefficient", "left", "right")]
+    + [(*obj, key) for obj in (("kernel", "terms", 0, "left"), ("solve", "g"))
+       for key in ("kind", "scale", "shift")]
+    + [("converge", "schedule", key) for key in ("kind", "beta0", "ratio")]
+)
+BASE_KERNELS = [
+    RANK1_CONFIG["kernel"],
+    {"family": "gauss_cauchy"},
+    {"family": "custom_tabulated", "radius": 2.0, "values": [[1.0, 0.5], [0.5, 1.0]]},
+]
+SCALARS = st.one_of(
+    st.sampled_from([0, -1, 2**1024, -(10**400), float("nan"), float("inf"), float("-inf")]),
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["gauss", "sech", "tilde", "geometric", "harmonic", "largest_n",
+                     "separable_sum", "gauss_cauchy", "custom_tabulated"]),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted({k for ks in BLOCK_KEYS.values() for k in ks}))
+                      | st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def configs(draw):
+    """A valid config with one or two values replaced by generated ones."""
+    doc = {"kernel": json.loads(json.dumps(draw(st.sampled_from(BASE_KERNELS))))}
+    for path in draw(st.lists(st.sampled_from(PATHS), min_size=1, max_size=2)):
+        node = doc
+        for key in path[:-1]:
+            if isinstance(node, dict):
+                node = node.setdefault(key, {})
+            elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+                node = node[key]
+            else:
+                break
+        else:
+            if isinstance(node, dict):
+                node[path[-1]] = draw(SCALARS | VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_parse_returns_or_raises_config_error(doc):
+    # json.dumps writes NaN and Infinity for non-finite floats.
+    try:
+        parse_config(json.dumps(doc).encode())
+    except fk.ConfigError:
+        pass
 
 
 def test_parse_malformed_json():

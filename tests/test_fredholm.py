@@ -45,6 +45,16 @@ def test_det_series_higher_terms_vanish_for_rank1(rank1, trunc, grid6):
     assert abs(one_term - six_terms) < 1e-12
 
 
+def test_det_series_tail_bound_overflow_is_inf(rank1, trunc):
+    # At |lambda| sup|K| 2 tau_n = 64 the Hadamard terms pass the float range.
+    # The rank-1 series is still exact at m_max = 6.
+    grid = fk.build_grid(trunc, 6, 2, 8)
+    ds = fk.det_series(rank1, trunc, 6, 8.0, grid, 6)
+    dm = fk.det_matrix(fk.nystrom_matrix(rank1, trunc, 6, "plain", grid), 8.0)
+    assert abs(ds.value - dm.value) <= 1e-8
+    assert ds.tail_bound == math.inf
+
+
 def test_det_rank2_orthogonal_factorization(rank2, trunc, grid6):
     tau = trunc.tau(6)
     m = fk.nystrom_matrix(rank2, trunc, 6, "plain", grid6)

@@ -261,20 +261,6 @@ def test_neumann_divergence_guard(rank1, disc8):
         fk.neumann_full(rank1, 1.0, 0.0, 0.0, disc8, 10)
 
 
-def test_neumann_path_handle_matches_fredholm(rank1, trunc, grid6):
-    hf = fk.make_resolvent(rank1, trunc, 6, 0.3, grid6, path="fredholm")
-    hn = fk.make_resolvent(rank1, trunc, 6, 0.3, grid6, path="neumann")
-    for s, t in ((0.0, 0.0), (1.0, -2.0)):
-        assert fk.resolvent_eval(hn, s, t) == pytest.approx(
-            fk.resolvent_eval(hf, s, t), abs=1e-10
-        )
-
-
-def test_neumann_path_precondition(rank1, trunc, grid6):
-    with pytest.raises(fk.NeumannDivergenceError):
-        fk.make_resolvent(rank1, trunc, 6, 1.2, grid6, path="neumann")
-
-
 def test_quotient_route_matches_handle(rank1, rank2, trunc, grid6):
     for k in (rank1, rank2):
         for lam in (0.3, 0.5 + 0.2j):
