@@ -167,7 +167,8 @@ def _kernel(value, path):
 
 _variant = _one_of(str, kernels.VARIANTS)
 _positive = _rule(float, lambda v: v > 0, "must be > 0")
-_region = _rule([float], lambda v: len(v) == 4, "expected [re0, re1, im0, im1]")
+_region = _rule([float], lambda v: len(v) == 4 and v[0] <= v[1] and v[2] <= v[3],
+                "expected [re0, re1, im0, im1] with re0 <= re1 and im0 <= im1")
 
 # The command blocks: (block, key, type, default).
 FIELDS = (

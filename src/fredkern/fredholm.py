@@ -1,8 +1,9 @@
 """Fredholm determinants and first minors of truncated kernels, by two routes:
 the classical power series (its multi-dimensional integrals evaluated through
 the trace recursion on the collocation matrix) and a direct matrix determinant
-det(I - lambda*A).  Characteristic values are located as determinant zeros by
-Newton iteration seeded on a lattice.
+det(I - lambda*A).  Characteristic values are the determinant zeros.  Since
+det(I - lambda*A) is the product of (1 - lambda*mu) over the eigenvalues mu of
+A, they are read off as 1/mu and polished by a few Newton steps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ M_MAX = 8
 
 # Below this, det is treated as numerically zero and lambda as characteristic.
 NEAR_ZERO_COEFF = 1e-10
+
+# Newton steps that polish one eigenvalue candidate 1/mu.  From there a simple
+# zero meets the 1e-12 step test in two or three.  A candidate still moving
+# after this budget is dropped; a multiple zero of a defective matrix is fixed
+# only to about sqrt(eps), so it never meets the step test at any budget.
+POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,6 @@ class CharScanResult:
     search_region: tuple
     grid_density: float
     zero_tol: float = 1e-8
-    seeds_tried: int = 0
-    seeds_converged: int = 0
 
 
 def is_characteristic(det_value: complex, lam: complex) -> bool:
@@ -68,12 +73,18 @@ def fredholm_coefficients(a: np.ndarray, m_max: int) -> np.ndarray:
 
     c_m equals the m-dimensional symmetrized quadrature of the determinant
     series divided by m!, so partial sums over m reproduce the series route.
+    Only the powers A^1 .. A^h, h = ceil(m_max/2), are formed; a higher trace
+    tr(A^(i+j)) is the N^2 sum of A^i * (A^j)^T.
     """
+    half = (m_max + 1) // 2
+    powers = [None, a]
+    for _ in range(half - 1):
+        powers.append(powers[-1] @ a)
     traces = np.empty(m_max + 1, dtype=complex)
-    power = np.eye(a.shape[0], dtype=complex)
     for kk in range(1, m_max + 1):
-        power = power @ a
-        traces[kk] = np.trace(power)
+        i = min(kk, half)
+        j = kk - i
+        traces[kk] = np.trace(powers[i]) if j == 0 else np.sum(powers[i] * powers[j].T)
     c = np.zeros(m_max + 1, dtype=complex)
     c[0] = 1.0
     for m in range(1, m_max + 1):
@@ -221,17 +232,18 @@ def char_scan(
     region: tuple,
     density: float,
     grid: Discretization,
-    newton_budget: int = 50,
     dedup_tol: float = 1e-6,
     variant: str = "plain",
 ) -> CharScanResult:
     """Locate determinant zeros in region = (re0, re1, im0, im1).
 
-    Newton is seeded on a lattice with `density` seeds per unit length; seeds
-    that do not converge are dropped silently, converged roots outside the
-    region or with |det| above tolerance are discarded, and survivors are
-    deduplicated within dedup_tol.  The one-sided and two-sided truncations
-    share their determinant, so `variant` does not change the zero set.
+    Each eigenvalue mu of the Nystrom matrix gives a candidate 1/mu; those
+    inside the region (widened by dedup_tol) are polished by Newton.  Polished
+    roots that do not converge, leave the region or have |det| above
+    tolerance are discarded, and survivors are deduplicated within dedup_tol.
+    `density` must be > 0 and is recorded as grid_density; it no longer
+    changes the zero set.  The one-sided and two-sided truncations share
+    their determinant, so `variant` does not change the zero set either.
     """
     re0, re1, im0, im1 = (float(v) for v in region)
     if not (re1 >= re0 and im1 >= im0):
@@ -239,42 +251,28 @@ def char_scan(
     if density <= 0:
         raise ValueError("density must be > 0")
     a = nystrom_matrix(k, trunc, n, variant, grid).entries
-
-    res = np.linspace(re0, re1, max(2, int(math.ceil((re1 - re0) * density)) + 1))
-    ims = np.linspace(im0, im1, max(2, int(math.ceil((im1 - im0) * density)) + 1))
-    if im1 == im0:
-        ims = np.array([im0])
-    if re1 == re0:
-        res = np.array([re0])
-
     margin = 1e-9 + dedup_tol
+
+    def inside(z):
+        return re0 - margin <= z.real <= re1 + margin and im0 - margin <= z.imag <= im1 + margin
+
+    candidates = [1.0 / complex(mu) for mu in np.linalg.eigvals(a) if mu != 0]
+    eye = np.eye(a.shape[0], dtype=complex)
     zeros = []
-    tried = 0
-    converged = 0
-    for re in res:
-        for im in ims:
-            tried += 1
-            root = _newton_refine(a, complex(re, im), newton_budget)
-            if root is None:
-                continue
-            converged += 1
-            if not (re0 - margin <= root.real <= re1 + margin):
-                continue
-            if not (im0 - margin <= root.imag <= im1 + margin):
-                continue
-            dim = a.shape[0]
-            lu, piv = lu_factor(np.eye(dim, dtype=complex) - root * a)
-            dval = det_from_lu(lu, piv)
-            if abs(dval) >= 1e-8 * (1.0 + abs(root)):
-                continue
-            if all(abs(root - z) > dedup_tol for z in zeros):
-                zeros.append(root)
+    for cand in sorted(filter(inside, candidates), key=lambda z: (z.real, z.imag)):
+        root = _newton_refine(a, cand, POLISH_STEPS)
+        if root is None or not inside(root):
+            continue
+        lu, piv = lu_factor(eye - root * a)
+        dval = det_from_lu(lu, piv)
+        if abs(dval) >= 1e-8 * (1.0 + abs(root)):
+            continue
+        if all(abs(root - z) > dedup_tol for z in zeros):
+            zeros.append(root)
     zeros.sort(key=lambda z: (z.real, z.imag))
     return CharScanResult(
         zeros=tuple(zeros),
         search_region=(re0, re1, im0, im1),
         grid_density=float(density),
         zero_tol=1e-8,
-        seeds_tried=tried,
-        seeds_converged=converged,
     )

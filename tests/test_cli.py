@@ -111,10 +111,13 @@ def test_parse_rejects_bad_values():
         ("resolvent", {"resolvent": {"eval_radius": float("inf")}}, [], "resolvent.eval_radius"),
         ("converge", {"converge": {"lambda": float("inf")}}, [], "converge.lambda"),
         ("det", {"converge": {"eval_radius": float("nan")}}, [], "converge.eval_radius"),
+        ("scan", {"scan": {"region": [2.0, 0.0, -0.5, 0.5]}}, [], "scan.region"),
+        ("scan", None, ["--region", "2,0,-0.5,0.5"], "argv.region"),
     ],
 )
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, command, extra, argv, path):
-    # json.dumps writes NaN and Infinity, which json.loads accepts.
+    # json.dumps writes NaN and Infinity, which json.loads accepts.  The last
+    # two cases are finite but reversed regions, refused at the same paths.
     config = write_config(tmp_path, extra)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -135,6 +135,19 @@ def test_budget_ceiling(rank1, trunc, grid6):
         fk.minor_series(rank1, trunc, 6, 0.3, 0.0, 0.0, grid6, 4, node_ceiling=8)
 
 
+def test_fredholm_coefficients_match_power_traces():
+    # Reference: every trace from an explicit matrix power.
+    rng = np.random.default_rng(3)
+    a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 15.0
+    for m_max in range(1, fk.fredholm.M_MAX + 1):
+        traces = [np.trace(np.linalg.matrix_power(a, kk)) for kk in range(1, m_max + 1)]
+        ref = [1.0 + 0.0j]
+        for m in range(1, m_max + 1):
+            ref.append(sum((-1) ** (kk - 1) * traces[kk - 1] * ref[m - kk]
+                           for kk in range(1, m + 1)) / m)
+        np.testing.assert_allclose(fk.fredholm_coefficients(a, m_max), ref, rtol=1e-12)
+
+
 def test_m_max_validation(rank1, trunc, grid6):
     with pytest.raises(ValueError):
         fk.det_series(rank1, trunc, 6, 0.3, grid6, 0)
@@ -160,8 +173,36 @@ def test_char_scan_rank2(rank2, trunc):
 
 
 def test_char_scan_empty_for_nilpotent(odd, trunc):
+    # The Nystrom matrix is defective with every eigenvalue zero; eigvals
+    # returns rounding noise, whose reciprocals must not survive as zeros.
     res = fk.char_scan(odd, trunc, 6, (-2.0, 2.0, -1.0, 1.0), 3.0, scan_grid(trunc))
     assert res.zeros == ()
+
+
+def test_char_scan_zero_set_independent_of_density(rank2, trunc):
+    grid = scan_grid(trunc)
+    sets = [fk.char_scan(rank2, trunc, 6, (0.0, 8.0, -1.0, 1.0), d, grid).zeros
+            for d in (0.5, 2.0, 8.0)]
+    assert len(sets[0]) == 2
+    assert sets[0] == sets[1] == sets[2]
+
+
+def test_char_scan_non_hermitian_matches_closed_form(trunc):
+    # K(s,t) = sum_j c_j u_j(s) v_j(t) has characteristic values 1/mu over
+    # the nonzero eigenvalues mu of C G, with G_jk = int v_j u_k over (-tau, tau).
+    g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
+    terms = ((1.0, g, g), (2.0 + 0.5j, xg, xg), (0.3, g, xg), (-0.4j, xg, g))
+    k = fk.KernelSpec("separable_sum", terms, label="coupled")
+    tau = trunc.tau(6)
+    overlap = {"gauss": gauss_overlap(tau), "x_gauss": xgauss_overlap(tau)}
+    gram = np.array([[overlap[v.kind] if v.kind == u.kind else 0.0 for _, u, _ in terms]
+                     for _, _, v in terms])
+    mu = np.linalg.eigvals(np.diag([c for c, _, _ in terms]) @ gram)
+    expected = sorted((1.0 / m for m in mu if abs(m) > 1e-12), key=lambda z: (z.real, z.imag))
+    res = fk.char_scan(k, trunc, 6, (0.0, 8.0, -1.0, 1.0), 2.0, scan_grid(trunc))
+    assert len(res.zeros) == len(expected) == 2
+    for z, e in zip(res.zeros, expected):
+        assert abs(z - e) < 1e-8
 
 
 def test_char_scan_zeros_deduplicated_and_in_region(rank1, trunc):
