@@ -158,9 +158,10 @@ def resolvent_convergence_diagnostic(
     e = eval_grid.nodes
     y = norm_grid.nodes
     wy = norm_grid.weights
-    ref_t = ref_values(e, e)
+    ey = np.concatenate([e, y])
+    # The (e, e) and (y, e) blocks share their columns: one call, split by rows.
+    ref_t, ref_cols = np.split(ref_values(ey, e), [len(e)])
     ref_rows = ref_values(e, y)
-    ref_cols = ref_values(y, e)
 
     used, skipped = [], []
     sup_t, sup_row, sup_col = [], [], []
@@ -173,9 +174,10 @@ def resolvent_convergence_diagnostic(
             skipped.append(n)
             continue
         used.append(n)
-        sup_t.append(float(np.max(np.abs(h.eval_grid_matrix(e, e) - ref_t))))
+        h_t, h_cols = np.split(h.eval_grid_matrix(ey, e), [len(e)])
+        sup_t.append(float(np.max(np.abs(h_t - ref_t))))
         sup_row.append(_row_col_distances(h.eval_grid_matrix(e, y), ref_rows, wy, axis=1))
-        sup_col.append(_row_col_distances(h.eval_grid_matrix(y, e), ref_cols, wy, axis=0))
+        sup_col.append(_row_col_distances(h_cols, ref_cols, wy, axis=0))
     return ConvergenceReport(
         lam=lam,
         n_values=tuple(used),

@@ -8,6 +8,7 @@ A, they are read off as 1/mu and polished by a few Newton steps.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,8 +64,11 @@ def is_characteristic(det_value: complex, lam: complex) -> bool:
 
 
 def det_from_lu(lu: np.ndarray, piv: np.ndarray) -> complex:
+    """Signed product of the LU diagonal; complex(inf) once it overflows."""
     swaps = int(np.sum(piv != np.arange(len(piv))))
-    return complex((-1.0) ** swaps * np.prod(np.diag(lu)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex((-1.0) ** swaps * np.prod(np.diag(lu)))
+    return value if cmath.isfinite(value) else complex(math.inf)
 
 
 def fredholm_coefficients(a: np.ndarray, m_max: int) -> np.ndarray:

@@ -71,23 +71,27 @@ class ResolventHandle:
         return sol
 
     def eval_grid_matrix(self, s_pts, t_pts) -> np.ndarray:
-        """Resolvent kernel values on the product grid s_pts x t_pts."""
+        """Resolvent kernel values on the product grid s_pts x t_pts.
+
+        The system is solved from the smaller side: for len(s_pts) <
+        len(t_pts) the rows (K_n(s,.) W) (I - lambda*A)^{-1} come from the
+        transposed LU solve, otherwise the columns from `columns_at`.
+        """
         s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
         t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
         x = self.grid.nodes
         w = self.grid.weights
-        rows = np.asarray(
-            subkernel_eval(self.kernel, self.trunc, self.n, "plain", s_arr[:, None], x[None, :]),
-            dtype=complex,
-        )
-        base = np.asarray(
-            subkernel_eval(
-                self.kernel, self.trunc, self.n, "plain", s_arr[:, None], t_arr[None, :]
-            ),
-            dtype=complex,
-        )
-        cols = self.columns_at(t_arr)
-        vals = base + self.lam * ((rows * w[None, :]) @ cols)
+
+        def plain(a, b):
+            return subkernel_eval(self.kernel, self.trunc, self.n, "plain", a[:, None], b[None, :])
+
+        rows_w = np.asarray(plain(s_arr, x), dtype=complex) * w[None, :]
+        base = np.asarray(plain(s_arr, t_arr), dtype=complex)
+        if len(s_arr) < len(t_arr):
+            left = lu_solve(self.lu, rows_w.T, trans=1).T
+            vals = base + self.lam * (left @ plain(x, t_arr))
+        else:
+            vals = base + self.lam * (rows_w @ self.columns_at(t_arr))
         vals = vals / self.det_scale
         if self.variant == "tilde":
             vals = vals * self.trunc.chi(self.n, t_arr)[None, :]
@@ -188,8 +192,8 @@ def residual_check(h: ResolventHandle, grid_eval: Discretization):
     k, trunc, n, lam = h.kernel, h.trunc, h.n, h.lam
     variant = h.variant
 
-    r_ee = h.eval_grid_matrix(e, e)
-    r_xe = h.eval_grid_matrix(x, e)
+    # One column solve serves the (e, e) and (x, e) blocks.
+    r_ee, r_xe = np.split(h.eval_grid_matrix(np.concatenate([e, x]), e), [len(e)])
     r_ex = h.eval_grid_matrix(e, x)
 
     base = np.asarray(subkernel_eval(k, trunc, n, variant, e[:, None], e[None, :]), dtype=complex)
@@ -291,7 +295,15 @@ def neumann_kernel_matrix(
     n_terms: int,
     _matrix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized partial Neumann series on the product grid s_pts x t_pts.
+    """Vectorized partial Neumann series on the product grid s_pts x t_pts:
+
+        K(s,t) + sum_{j=2..n_terms} lambda^{j-1} R A^{j-2} C,
+
+    with R = K(s_pts, x) W, A = K(x, x) W and C = K(x, t_pts) on disc.  The
+    lambda-independent chain R A^i (or A^i C) runs on the smaller side of the
+    product grid and is summed with the powers of lambda as it goes; the other
+    outer factor is applied once at the end.  The chain stays real whenever
+    A and its start have no imaginary part.
 
     _matrix optionally reuses the matrix `_neumann_matrix` returned for the
     same kernel, lambda and disc.
@@ -299,26 +311,28 @@ def neumann_kernel_matrix(
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     lam = complex(lam)
-    a = _neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix
+    a = _real_if_exact(_neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix)
     s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
     x = disc.nodes
     w = disc.weights
-    rows_w = np.asarray(eval_kernel(k, s_arr[:, None], x[None, :]), dtype=complex) * w[None, :]
-    cols = np.asarray(eval_kernel(k, x[:, None], t_arr[None, :]), dtype=complex)
+    rows_w = _real_if_exact(np.asarray(eval_kernel(k, s_arr[:, None], x[None, :]))) * w[None, :]
+    cols = _real_if_exact(np.asarray(eval_kernel(k, x[:, None], t_arr[None, :])))
     total = np.asarray(eval_kernel(k, s_arr[:, None], t_arr[None, :]), dtype=complex)
-    # Accumulate the iterated-kernel terms from the smaller side of the
-    # product grid; both orderings sum the same series.
-    if len(s_arr) <= len(t_arr):
-        u = rows_w
-        for j in range(2, n_terms + 1):
-            total = total + lam ** (j - 1) * (u @ cols)
-            if j < n_terms:
-                u = u @ a
-    else:
-        v = cols
-        for j in range(2, n_terms + 1):
-            total = total + lam ** (j - 1) * (rows_w @ v)
-            if j < n_terms:
-                v = a @ v
-    return total
+    if n_terms == 1:
+        return total
+    row_side = len(s_arr) <= len(t_arr)
+    chain = rows_w if row_side else cols
+    acc = lam * chain
+    for j in range(2, n_terms):
+        chain = chain @ a if row_side else a @ chain
+        acc += lam**j * chain
+    return total + (acc @ cols if row_side else rows_w @ acc)
+
+
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """The real part of m when its imaginary part is exactly zero, else m."""
+    if np.iscomplexobj(m) and not m.imag.any():
+        # A copy: the strided .real view would keep matmul off BLAS.
+        return np.ascontiguousarray(m.real)
+    return m

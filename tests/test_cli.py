@@ -338,6 +338,20 @@ def test_run_tailnorm_csv(tmp_path):
     assert vals[0] > vals[-1]
 
 
+@pytest.mark.parametrize("lam", ["1e160", "1e300"])
+def test_run_resolvent_at_huge_lambda_exits_clean(tmp_path, capsys, lam):
+    # det(I - lambda*A) overflows at these lambdas; the command still writes
+    # finite values and exits 0 without a warning line.
+    config = os.path.join(ECHO, "gauss_cauchy_min.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(["resolvent", "--config", config, "--lambda", lam, "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    vals = np.loadtxt(tmp_path / "resolvent_grid.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(vals))
+
+
 def test_run_rejects_bad_usage(tmp_path, capsys):
     assert run_command([]) == 1
     assert run_command(["frobnicate", "--config", "x"]) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredkern as fk
+from fredkern import convergence
 from conftest import gauss_overlap
 
 N_LIST = range(2, 11)  # tau_n in {2, 2.5, ..., 6} under the default scheme
@@ -317,3 +318,31 @@ def test_report_entries_nonnegative_finite(rank2, trunc):
     )
     for seq in (rep.sup_T_diff, rep.sup_row_diff, rep.sup_col_diff):
         assert all(math.isfinite(v) and v >= 0.0 for v in seq)
+
+
+def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkeypatch):
+    # The three series reference blocks come from two calls: (e u y) x e,
+    # split by rows, and e x y.  They match one call per block.
+    series = convergence.neumann_kernel_matrix
+    calls = []
+
+    def recording(k, lam, s_pts, t_pts, disc, n_terms, _matrix=None):
+        out = series(k, lam, s_pts, t_pts, disc, n_terms, _matrix=_matrix)
+        calls.append((s_pts, t_pts, disc, out))
+        return out
+
+    monkeypatch.setattr(convergence, "neumann_kernel_matrix", recording)
+    lam = 0.25 + 0.15j
+    egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
+    fk.resolvent_convergence_diagnostic(
+        gcauchy, trunc, lam, fk.ShiftSchedule("zero"), [4, 6], egrid, "neumann_disk",
+        panels_per_unit=2,
+    )
+    assert len(calls) == 2
+    (_, _, disc, stacked), (_, _, _, ref_rows) = calls
+    e, y = egrid.nodes, disc.nodes
+    blocks = ((stacked[: len(e)], e, e), (stacked[len(e):], y, e), (ref_rows, e, y))
+    for block, s_pts, t_pts in blocks:
+        separate = series(gcauchy, lam, s_pts, t_pts, disc, 40)
+        assert block.shape == separate.shape
+        assert np.max(np.abs(block - separate)) <= 1e-14

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fredkern as fk
+from fredkern.fredholm import det_from_lu
 from conftest import gauss_overlap, xgauss_overlap
 
 LAMBDAS = (0.3, 0.5, 0.5 + 0.2j)
@@ -53,6 +55,17 @@ def test_det_series_tail_bound_overflow_is_inf(rank1, trunc):
     dm = fk.det_matrix(fk.nystrom_matrix(rank1, trunc, 6, "plain", grid), 8.0)
     assert abs(ds.value - dm.value) <= 1e-8
     assert ds.tail_bound == math.inf
+
+
+def test_det_from_lu_overflow_is_inf():
+    # A finite product is returned as is; an overflowing one is inf, with no
+    # floating-point warning on the way.
+    lu = np.diag([2.0, -3.0 + 1.0j, 0.5])
+    piv = np.array([1, 1, 2])
+    assert det_from_lu(lu, piv) == -complex(np.prod(np.diag(lu)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det_from_lu(np.diag([1e200, 1e200 + 1e200j]), np.arange(2)) == complex(math.inf)
 
 
 def test_det_rank2_orthogonal_factorization(rank2, trunc, grid6):

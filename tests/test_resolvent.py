@@ -1,14 +1,28 @@
 """Resolvent handles: evaluation, defining equations, solving, identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fredkern as fk
 from conftest import gauss_overlap
+from fredkern.resolvent import neumann_kernel_matrix
 
 LAMBDAS = (0.1, 0.3, 0.5 + 0.2j)
+
+# Point sets of different lengths, so both orientations of a product grid occur.
+SHORT = np.linspace(-3.0, 3.0, 7)
+LONG = np.linspace(-4.5, 4.5, 19)
+ORIENTATIONS = ((SHORT, LONG), (LONG, SHORT))
+
+
+def coupled_kernel():
+    """Non-Hermitian separable kernel with complex coefficients."""
+    g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
+    terms = ((1.0, g, g), (2.0 + 0.5j, xg, xg), (0.3, g, xg), (-0.4j, xg, g))
+    return fk.KernelSpec("separable_sum", terms, label="coupled")
 
 
 def eval_grid():
@@ -277,3 +291,80 @@ def test_hermitian_symmetry_propagates_to_tilde(rank2, trunc, grid6):
         left = fk.resolvent_eval(h, s, t)
         right = np.conj(fk.resolvent_eval(h, t, s))
         assert abs(left - right) <= 1e-9
+
+
+def kernel_block(k, s, t):
+    return np.asarray(fk.eval_kernel(k, s[:, None], t[None, :]), dtype=complex)
+
+
+def series_by_powers(k, lam, s, t, disc, n_terms):
+    """sum_{j=1..n_terms} lambda^{j-1} K^{[j]}(s,t), term by term from powers of A."""
+    x, w = disc.nodes, disc.weights
+    a = kernel_block(k, x, x) * w[None, :]
+    rows_w = kernel_block(k, s, x) * w[None, :]
+    cols = kernel_block(k, x, t)
+    total = kernel_block(k, s, t)
+    for j in range(2, n_terms + 1):
+        total = total + lam ** (j - 1) * (rows_w @ np.linalg.matrix_power(a, j - 2) @ cols)
+    return total
+
+
+def weighted_norm(k, disc):
+    sw = np.sqrt(disc.weights)
+    return np.linalg.norm(sw[:, None] * kernel_block(k, disc.nodes, disc.nodes) * sw[None, :], 2)
+
+
+@pytest.mark.parametrize("kernel", [coupled_kernel, fk.gauss_cauchy], ids=["coupled", "gcauchy"])
+@pytest.mark.parametrize("n_terms", [1, 2, 5, 40])
+def test_neumann_kernel_matrix_matches_term_sum(kernel, n_terms):
+    # The coupled kernel runs a complex chain, gauss_cauchy a real one.
+    k = kernel()
+    disc = fk.grid_on_interval(-6.0, 6.0, 2, 8)
+    lam = 0.5 * np.exp(0.7j) / weighted_norm(k, disc)
+    for s, t in ORIENTATIONS:
+        got = neumann_kernel_matrix(k, lam, s, t, disc, n_terms)
+        want = series_by_powers(k, lam, s, t, disc, n_terms)
+        assert got.shape == (len(s), len(t))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def dense_resolvent(h, s, t):
+    """K_n + lambda K_n(s,x) W solve(I - lambda A, K_n(x,t)), scaled and masked."""
+    x, w = h.grid.nodes, h.grid.weights
+
+    def plain(a, b):
+        return np.asarray(fk.subkernel_eval(h.kernel, h.trunc, h.n, "plain",
+                                            a[:, None], b[None, :]), dtype=complex)
+
+    a = plain(x, x) * w[None, :]
+    sol = np.linalg.solve(np.eye(len(x)) - h.lam * a, plain(x, t))
+    vals = (plain(s, t) + h.lam * (plain(s, x) * w[None, :]) @ sol) / h.det_scale
+    if h.variant == "tilde":
+        vals = vals * h.trunc.chi(h.n, t)[None, :]
+    return vals
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("lam", [0.3, 0.4 - 0.25j])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_eval_grid_matrix_matches_dense_formula(trunc, grid6, variant, lam, scaled):
+    h = fk.make_resolvent(coupled_kernel(), trunc, 6, lam, grid6, variant=variant)
+    if scaled:
+        h = h.with_det_scaled(1.7)
+    for s, t in ORIENTATIONS:
+        got = h.eval_grid_matrix(s, t)
+        want = dense_resolvent(h, s, t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e300])
+def test_make_resolvent_at_huge_lambda_is_clean(gcauchy, trunc, lam):
+    # The LU-diagonal product overflows here; det is inf, not NaN, and no
+    # floating-point warning is raised on the way.
+    grid = fk.build_grid(trunc, 6, 4, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = fk.make_resolvent(gcauchy, trunc, 6, lam, grid)
+        vals = h.eval_grid_matrix(SHORT, LONG)
+    assert h.det.value == complex(math.inf)
+    assert np.all(np.isfinite(vals))
