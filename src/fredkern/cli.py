@@ -306,6 +306,12 @@ def _cmd_solve(cfg: RunConfig, block):
 
 def _cmd_resolvent(cfg: RunConfig, block):
     n = block["n"]
+    # The points x points grid may be no larger than an N x N Nystrom matrix at the node ceiling.
+    if block["eval_points"] > quadrature.DEFAULT_NODE_CEILING:
+        raise BudgetExceededError(
+            f"resolvent.eval_points = {block['eval_points']} gives more than "
+            f"{quadrature.DEFAULT_NODE_CEILING}^2 grid points"
+        )
     handle = resolvent.make_resolvent(
         cfg.kernel, cfg.truncation, n, block["lambda"], _grid(cfg, n), variant=block["variant"]
     )

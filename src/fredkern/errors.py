@@ -42,7 +42,7 @@ class NeumannDivergenceError(FredkernError):
 
 
 class BudgetExceededError(FredkernError):
-    """Series evaluation would exceed the configured node-count ceiling."""
+    """A grid or series evaluation would exceed its node-count ceiling."""
 
 
 class PoleError(FredkernError):

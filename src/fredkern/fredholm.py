@@ -18,9 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import BudgetExceededError
 from .kernels import KernelSpec, TruncationScheme, subkernel_eval
-from .quadrature import Discretization, NystromMatrix, nystrom_matrix
-
-DEFAULT_NODE_CEILING = 4096
+from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, nystrom_matrix
 
 # Highest series order det_series and minor_series evaluate.
 M_MAX = 8
@@ -29,9 +27,10 @@ M_MAX = 8
 NEAR_ZERO_COEFF = 1e-10
 
 # Newton steps that polish one eigenvalue candidate 1/mu.  From there a simple
-# zero meets the 1e-12 step test in two or three.  A candidate still moving
-# after this budget is dropped; a multiple zero of a defective matrix is fixed
-# only to about sqrt(eps), so it never meets the step test at any budget.
+# zero meets the 1e-12 step test in two or three.  A multiple zero of a
+# defective matrix is fixed only to about sqrt(eps), so it never meets the step
+# test at any budget; a candidate still moving after this budget is kept only
+# if its |det| passes the zero test.
 POLISH_STEPS = 8
 
 
@@ -193,21 +192,27 @@ def minor_series(
     return complex(total)
 
 
+def shifted_identity(a: np.ndarray, lam: complex) -> np.ndarray:
+    """A new array I - lambda*A, real when A is real and lambda has no
+    imaginary part.  It is in Fortran order, so LAPACK factors it in place
+    (lu_factor with overwrite_a=True) instead of copying it first."""
+    lam = complex(lam)
+    out = np.multiply(a, -lam.real if lam.imag == 0 else -lam, order="F")
+    out[np.diag_indices_from(out)] += 1.0
+    return out
+
+
 def det_matrix(m: NystromMatrix, lam: complex) -> DetResult:
     """det(I - lambda*A) by pivoted LU factorization."""
-    dim = m.entries.shape[0]
-    lam = complex(lam)
-    lu, piv = lu_factor(np.eye(dim, dtype=complex) - lam * m.entries)
+    lu, piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
     return DetResult(value=det_from_lu(lu, piv), path="matrix", terms_used=0)
 
 
 def _newton_refine(a: np.ndarray, seed: complex, budget: int):
     """Newton iteration on det(I - lambda*A), with the logarithmic derivative
     d/dlambda log det = -tr((I - lambda*A)^{-1} A).  Returns None for seeds
-    that escape or fail to converge (zero-free determinants send the iterate
-    to infinity)."""
-    dim = a.shape[0]
-    eye = np.eye(dim, dtype=complex)
+    that escape (zero-free determinants send the iterate to infinity), and
+    the last iterate when `budget` steps end before the step test is met."""
     lam = complex(seed)
     for _ in range(budget):
         if abs(lam) > 1e9:
@@ -215,7 +220,7 @@ def _newton_refine(a: np.ndarray, seed: complex, budget: int):
         try:
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
-                lu_piv = lu_factor(eye - lam * a)
+                lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True)
                 resolvent_a = lu_solve(lu_piv, a)
         except Exception:
             return None
@@ -226,7 +231,7 @@ def _newton_refine(a: np.ndarray, seed: complex, budget: int):
         lam = lam + step
         if abs(step) <= 1e-12 * (1.0 + abs(lam)):
             return lam
-    return None
+    return lam
 
 
 def char_scan(
@@ -243,8 +248,10 @@ def char_scan(
 
     Each eigenvalue mu of the Nystrom matrix gives a candidate 1/mu; those
     inside the region (widened by dedup_tol) are polished by Newton.  Polished
-    roots that do not converge, leave the region or have |det| above
-    tolerance are discarded, and survivors are deduplicated within dedup_tol.
+    roots that escape, leave the region or have |det| above tolerance are
+    discarded (a root still moving after POLISH_STEPS, as at a multiple zero,
+    is judged by |det| alone), and survivors are deduplicated within
+    dedup_tol.
     `density` must be > 0 and is recorded as grid_density; it no longer
     changes the zero set.  The one-sided and two-sided truncations share
     their determinant, so `variant` does not change the zero set either.
@@ -261,13 +268,12 @@ def char_scan(
         return re0 - margin <= z.real <= re1 + margin and im0 - margin <= z.imag <= im1 + margin
 
     candidates = [1.0 / complex(mu) for mu in np.linalg.eigvals(a) if mu != 0]
-    eye = np.eye(a.shape[0], dtype=complex)
     zeros = []
     for cand in sorted(filter(inside, candidates), key=lambda z: (z.real, z.imag)):
         root = _newton_refine(a, cand, POLISH_STEPS)
         if root is None or not inside(root):
             continue
-        lu, piv = lu_factor(eye - root * a)
+        lu, piv = lu_factor(shifted_identity(a, root), overwrite_a=True)
         dval = det_from_lu(lu, piv)
         if abs(dval) >= 1e-8 * (1.0 + abs(root)):
             continue

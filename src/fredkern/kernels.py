@@ -93,7 +93,8 @@ class KernelSpec:
                 raise ConfigError("values", "must be a square matrix, size >= 2")
             if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
                 raise ConfigError("values", "must be finite")
-            object.__setattr__(self, "table_values", vals)
+            # A real table keeps the kernel real.
+            object.__setattr__(self, "table_values", vals if vals.imag.any() else vals.real.copy())
 
     @property
     def is_oracle_backed(self) -> bool:
@@ -146,7 +147,10 @@ class TruncationScheme:
             raise ValueError("truncation index n must be >= 1")
         if self.growth == "arithmetic":
             return self.tau0 + self.step * n
-        return self.tau0 * self.ratio**n
+        try:
+            return self.tau0 * self.ratio**n
+        except OverflowError:  # beyond the float range; grids refuse it by their ceiling
+            return math.inf
 
     def chi(self, n: int, x):
         """Indicator of the open interval (-tau_n, tau_n), vectorized."""
@@ -158,20 +162,66 @@ class TruncationScheme:
 
 
 def eval_kernel(k: KernelSpec, s, t):
-    """Evaluate K(s,t); accepts scalars or broadcastable arrays."""
+    """Evaluate K(s,t); accepts scalars or broadcastable arrays.
+
+    The values are float64 when the kernel is real (a separable sum with
+    real coefficients, the Gaussian/Cauchy family, a real table) and complex
+    otherwise.  A scalar comes back as a Python float or complex; an array is
+    freshly allocated, so callers may scale it in place.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if k.family == SEPARABLE_SUM:
-        out = np.zeros(np.broadcast_shapes(s.shape, t.shape), dtype=complex)
-        for coeff, left, right in k.terms:
-            out = out + complex(coeff) * left(s) * right(t)
+        out = _eval_separable(k, s, t)
     elif k.family == GAUSS_CAUCHY:
-        out = np.exp(-(s * s + t * t)) / (1.0 + (s - t) ** 2) + 0j
+        out = _eval_gauss_cauchy(s, t)
     else:
         out = _eval_tabulated(k, s, t)
-    if out.ndim == 0:
-        return complex(out)
+    return out.item() if out.ndim == 0 else out
+
+
+def _eval_gauss_cauchy(s, t):
+    """exp(-(s^2 + t^2)) / (1 + (s - t)^2), with one broadcast temporary."""
+    den = s - t
+    den *= den
+    den += 1.0
+    out = np.asarray(s * s + t * t)  # an array also for scalar s and t
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out /= den
     return out
+
+
+def _basis_matrix(fns, x):
+    """fns_j(x_i) as an (x.size, len(fns)) array."""
+    flat = x.ravel()
+    out = np.empty((flat.size, len(fns)))
+    for j, fn in enumerate(fns):
+        out[:, j] = fn(flat)
+    return out
+
+
+def _eval_separable(k, s, t):
+    """sum_j c_j left_j(s) right_j(t), as the product (U(s) diag(c)) V(t)^T
+    when every axis of the broadcast varies in at most one of s and t (grids,
+    scalar x vector), so those call patterns round alike; else elementwise."""
+    coeffs = np.array([complex(c) for c, _, _ in k.terms], dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    lefts = [left for _, left, _ in k.terms]
+    rights = [right for _, _, right in k.terms]
+    shape = np.broadcast_shapes(s.shape, t.shape)
+    d = len(shape)
+    ps = (1,) * (d - s.ndim) + s.shape
+    pt = (1,) * (d - t.ndim) + t.shape
+    if all(a == 1 or b == 1 for a, b in zip(ps, pt)):
+        prod = (_basis_matrix(lefts, s) * coeffs) @ _basis_matrix(rights, t).T
+        # Interleave the axes of s and t; one of each pair has length 1.
+        order = [i for pair in zip(range(d), range(d, 2 * d)) for i in pair]
+        return prod.reshape(ps + pt).transpose(order).reshape(shape)
+    u = _basis_matrix(lefts, np.broadcast_to(s, shape)) * coeffs
+    v = _basis_matrix(rights, np.broadcast_to(t, shape))
+    return np.einsum("ij,ij->i", u, v).reshape(shape)
 
 
 def _eval_tabulated(k, s, t):
@@ -184,7 +234,7 @@ def _eval_tabulated(k, s, t):
     )
     ss, tt = np.broadcast_arrays(s, t)
     pts = np.stack([ss.ravel(), tt.ravel()], axis=-1)
-    return interp(pts).reshape(ss.shape).astype(complex)
+    return interp(pts).reshape(ss.shape)
 
 
 def carleman_norm(k: KernelSpec, s: float, disc, side: str = "row") -> float:
@@ -207,12 +257,11 @@ def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
         raise ValueError("subkernel index n must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    out = np.asarray(eval_kernel(k, s, t)) * trunc.chi(n, s)
+    out = np.asarray(eval_kernel(k, s, t))
+    out *= trunc.chi(n, s)
     if variant == "tilde":
-        out = out * trunc.chi(n, t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+        out *= trunc.chi(n, t)
+    return out.item() if out.ndim == 0 else out
 
 
 def iterant_eval(k: KernelSpec, m: int, s: float, t: float, disc) -> complex:

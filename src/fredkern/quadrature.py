@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
 
 SUPPORTED_ORDERS = (4, 8, 16)
+_LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
+
+# Most quadrature nodes a grid may have (an N x N complex matrix at the ceiling
+# takes 268 MB); larger requests raise BudgetExceededError before allocating.
+DEFAULT_NODE_CEILING = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +57,7 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
         raise ConfigError("quadrature.order", f"order must be one of {SUPPORTED_ORDERS}")
     if panels < 1:
         raise ConfigError("quadrature.panels", "need at least one panel")
-    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi, wi = _LEGGAUSS[order]
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
@@ -62,8 +67,16 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
 
 
 def grid_on_interval(a: float, b: float, panels_per_unit: int, order: int) -> Discretization:
-    """Composite grid on (a, b) with roughly panels_per_unit panels per unit length."""
-    panels = max(1, int(math.ceil((b - a) * panels_per_unit - 1e-9)))
+    """Composite grid on (a, b) with roughly panels_per_unit panels per unit
+    length; at most DEFAULT_NODE_CEILING nodes."""
+    span = (b - a) * panels_per_unit - 1e-9
+    # Compared before rounding, so a huge or non-finite span never reaches int().
+    if not span * order <= DEFAULT_NODE_CEILING:
+        raise BudgetExceededError(
+            f"a grid on ({a:.6g}, {b:.6g}) with {panels_per_unit} panels per unit and order "
+            f"{order} exceeds the ceiling of {DEFAULT_NODE_CEILING} nodes"
+        )
+    panels = max(1, int(math.ceil(span)))
     nodes, weights = gauss_legendre_panels(a, b, panels, order)
     return Discretization(
         nodes=nodes, weights=weights, panel_count=panels, order=order, lo=float(a), hi=float(b)
@@ -90,13 +103,16 @@ def nystrom_matrix(
         )
     x = grid.nodes
     vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
-    return NystromMatrix(entries=vals * grid.weights[None, :], variant=variant, grid=grid)
+    vals *= grid.weights
+    return NystromMatrix(entries=vals, variant=variant, grid=grid)
 
 
 def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
     """Collocation matrix of the untruncated kernel (no mask)."""
     x = grid.nodes
-    return np.asarray(eval_kernel(k, x[:, None], x[None, :])) * grid.weights[None, :]
+    vals = eval_kernel(k, x[:, None], x[None, :])
+    vals *= grid.weights
+    return vals
 
 
 def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float = 1e-12) -> float:
@@ -106,7 +122,7 @@ def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float =
     vector and stops after `iters` rounds or when the estimate's relative
     change drops below `rtol`.  Deterministic.
     """
-    v = np.ones(dim, dtype=complex)
+    v = np.ones(dim)  # real, so a real operator iterates in real arithmetic
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
@@ -189,11 +205,13 @@ def tail_norm(
     y, wy = inner.nodes, inner.weights
 
     # Outer factor T(s, y) * w_y for s in the annulus (chi-hat mask is implicit).
-    outer = np.asarray(eval_kernel(k, s_nodes[:, None], y[None, :])) * wy[None, :]
+    outer = eval_kernel(k, s_nodes[:, None], y[None, :])
+    outer *= wy
 
     # Inner iterated kernel of T_n on the interval grid, evaluated out to grid_outer.
-    a_in = np.asarray(eval_kernel(k, y[:, None], y[None, :])) * wy[None, :]
-    cols = np.asarray(eval_kernel(k, y[:, None], grid_outer.nodes[None, :]))
+    a_in = eval_kernel(k, y[:, None], y[None, :])
+    a_in *= wy
+    cols = eval_kernel(k, y[:, None], grid_outer.nodes[None, :])
     for _ in range(m - 1):
         cols = a_in @ cols
     if variant == "tilde":

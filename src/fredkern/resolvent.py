@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CharacteristicValueError, NeumannDivergenceError
-from .fredholm import DetResult, det_from_lu, is_characteristic
+from .fredholm import DetResult, det_from_lu, is_characteristic, shifted_identity
 from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
 from .quadrature import (
     Discretization,
@@ -56,16 +56,18 @@ class ResolventHandle:
         """Negative control: evaluations behave as if det were scaled by factor."""
         return replace(self, det_scale=self.det_scale * factor)
 
+    def _plain(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return subkernel_eval(self.kernel, self.trunc, self.n, "plain", a[:, None], b[None, :])
+
+    def _columns(self, t_arr: np.ndarray) -> np.ndarray:
+        """(I - lambda*A)^{-1} K_n(., t), in the factor's own arithmetic."""
+        rhs = self._plain(self.grid.nodes, t_arr)
+        return _apply_linear(lambda b: lu_solve(self.lu, b), rhs, np.isrealobj(self.lu[0]))
+
     def columns_at(self, t) -> np.ndarray:
         """Resolvent kernel at (nodes, t): the solution of the second-kind
         system with right-hand side K_n(., t).  Shape (N,) or (N, len(t))."""
-        x = self.grid.nodes
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        rhs = np.asarray(
-            subkernel_eval(self.kernel, self.trunc, self.n, "plain", x[:, None], t_arr[None, :]),
-            dtype=complex,
-        )
-        sol = lu_solve(self.lu, rhs)
+        sol = self._columns(np.atleast_1d(np.asarray(t, dtype=float))).astype(complex, copy=False)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return sol[:, 0]
         return sol
@@ -75,26 +77,23 @@ class ResolventHandle:
 
         The system is solved from the smaller side: for len(s_pts) <
         len(t_pts) the rows (K_n(s,.) W) (I - lambda*A)^{-1} come from the
-        transposed LU solve, otherwise the columns from `columns_at`.
+        transposed LU solve, otherwise the columns as in `columns_at`.
         """
         s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
         t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
         x = self.grid.nodes
-        w = self.grid.weights
-
-        def plain(a, b):
-            return subkernel_eval(self.kernel, self.trunc, self.n, "plain", a[:, None], b[None, :])
-
-        rows_w = np.asarray(plain(s_arr, x), dtype=complex) * w[None, :]
-        base = np.asarray(plain(s_arr, t_arr), dtype=complex)
+        rows_w = self._plain(s_arr, x)
+        rows_w *= self.grid.weights
         if len(s_arr) < len(t_arr):
-            left = lu_solve(self.lu, rows_w.T, trans=1).T
-            vals = base + self.lam * (left @ plain(x, t_arr))
+            real = np.isrealobj(self.lu[0])
+            left = _apply_linear(lambda b: lu_solve(self.lu, b, trans=1), rows_w.T, real).T
+            vals = self.lam * (left @ self._plain(x, t_arr))
         else:
-            vals = base + self.lam * (rows_w @ self.columns_at(t_arr))
-        vals = vals / self.det_scale
+            vals = self.lam * (rows_w @ self._columns(t_arr))
+        vals += self._plain(s_arr, t_arr)
+        vals /= self.det_scale
         if self.variant == "tilde":
-            vals = vals * self.trunc.chi(self.n, t_arr)[None, :]
+            vals *= self.trunc.chi(self.n, t_arr)
         return vals
 
     def apply(self, g: np.ndarray) -> np.ndarray:
@@ -107,8 +106,22 @@ class ResolventHandle:
         g = np.asarray(g, dtype=complex)
         if self.variant == "tilde":
             g = g * self.trunc.chi(self.n, self.grid.nodes)
-        u = lu_solve(self.lu, g)
-        return (self.matrix.entries @ u) / self.det_scale
+        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b), g,
+                          np.isrealobj(self.lu[0]))
+        return u / self.det_scale
+
+
+def _apply_linear(fn, b: np.ndarray, real: bool) -> np.ndarray:
+    """fn(b) for a linear map fn on vectors or column blocks.  When fn is
+    real (a real LU factor or matrix) and b complex, fn runs once on the real
+    columns [Re b | Im b], so its N^2 operands are never upcast to complex."""
+    if not real or not np.iscomplexobj(b):
+        return fn(b)
+    cols = b.reshape(len(b), -1)
+    k = cols.shape[1]
+    x = fn(np.concatenate([cols.real, cols.imag], axis=1))
+    out = x[:, :k] + 1j * x[:, k:]
+    return out.reshape(out.shape[:1] + b.shape[1:])
 
 
 def _variant_entries(h: ResolventHandle) -> np.ndarray:
@@ -131,8 +144,7 @@ def make_resolvent(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
     m = nystrom_matrix(k, trunc, n, "plain", grid)
-    dim = m.entries.shape[0]
-    lu_piv = lu_factor(np.eye(dim, dtype=complex) - lam * m.entries)
+    lu_piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
     det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
     if is_characteristic(det.value, lam):
         raise CharacteristicValueError(lam, det.value)
@@ -196,9 +208,9 @@ def residual_check(h: ResolventHandle, grid_eval: Discretization):
     r_ee, r_xe = np.split(h.eval_grid_matrix(np.concatenate([e, x]), e), [len(e)])
     r_ex = h.eval_grid_matrix(e, x)
 
-    base = np.asarray(subkernel_eval(k, trunc, n, variant, e[:, None], e[None, :]), dtype=complex)
-    t_ex = np.asarray(subkernel_eval(k, trunc, n, variant, e[:, None], x[None, :]), dtype=complex)
-    t_xe = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], e[None, :]), dtype=complex)
+    base = subkernel_eval(k, trunc, n, variant, e[:, None], e[None, :])
+    t_ex = subkernel_eval(k, trunc, n, variant, e[:, None], x[None, :])
+    t_xe = subkernel_eval(k, trunc, n, variant, x[:, None], e[None, :])
 
     left = r_ee - lam * (t_ex * w[None, :]) @ r_xe - base
     right = r_ee - lam * (r_ex * w[None, :]) @ t_xe - base
@@ -228,14 +240,13 @@ def second_resolvent_residual(ha: ResolventHandle, hb: ResolventHandle) -> float
     x = ha.grid.nodes
     w = ha.grid.weights
     lam = ha.lam
-    ta = _variant_entries(ha)
-    tb = _variant_entries(hb)
+    diff = _variant_entries(ha) - _variant_entries(hb)
     worst = 0.0
     for shift in PROBE_SHIFTS:
         g = np.exp(-((x - shift) ** 2)).astype(complex)
         lhs = ha.apply(g) - hb.apply(g)
         v = g + lam * hb.apply(g)
-        v = (ta - tb) @ v
+        v = _apply_linear(diff.__matmul__, v, np.isrealobj(diff))
         rhs = v + lam * ha.apply(v)
         worst = max(worst, float(np.sqrt(np.sum(w * np.abs(lhs - rhs) ** 2).real)))
     return worst
@@ -302,8 +313,8 @@ def neumann_kernel_matrix(
     with R = K(s_pts, x) W, A = K(x, x) W and C = K(x, t_pts) on disc.  The
     lambda-independent chain R A^i (or A^i C) runs on the smaller side of the
     product grid and is summed with the powers of lambda as it goes; the other
-    outer factor is applied once at the end.  The chain stays real whenever
-    A and its start have no imaginary part.
+    outer factor is applied once at the end.  The chain is real for real
+    kernels.
 
     _matrix optionally reuses the matrix `_neumann_matrix` returned for the
     same kernel, lambda and disc.
@@ -311,13 +322,13 @@ def neumann_kernel_matrix(
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     lam = complex(lam)
-    a = _real_if_exact(_neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix)
+    a = _neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix
     s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
     x = disc.nodes
-    w = disc.weights
-    rows_w = _real_if_exact(np.asarray(eval_kernel(k, s_arr[:, None], x[None, :]))) * w[None, :]
-    cols = _real_if_exact(np.asarray(eval_kernel(k, x[:, None], t_arr[None, :])))
+    rows_w = eval_kernel(k, s_arr[:, None], x[None, :])
+    rows_w *= disc.weights
+    cols = eval_kernel(k, x[:, None], t_arr[None, :])
     total = np.asarray(eval_kernel(k, s_arr[:, None], t_arr[None, :]), dtype=complex)
     if n_terms == 1:
         return total
@@ -328,11 +339,3 @@ def neumann_kernel_matrix(
         chain = chain @ a if row_side else a @ chain
         acc += lam**j * chain
     return total + (acc @ cols if row_side else rows_w @ acc)
-
-
-def _real_if_exact(m: np.ndarray) -> np.ndarray:
-    """The real part of m when its imaginary part is exactly zero, else m."""
-    if np.iscomplexobj(m) and not m.imag.any():
-        # A copy: the strided .real view would keep matmul off BLAS.
-        return np.ascontiguousarray(m.real)
-    return m

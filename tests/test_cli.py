@@ -444,3 +444,16 @@ def test_config_echo_reruns_identically(tmp_path):
     out2 = tmp_path / "second"
     assert run_command(["scan", "--config", str(echo_path), "--out", str(out2)]) == 0
     assert (out1 / "zeros.csv").read_bytes() == (out2 / "zeros.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("det", {"quadrature": {"panels_per_unit": 10**6, "order": 8}}),
+    ("tailnorm", {"truncation": {"tau0": 1e6}}),
+    ("det", {"truncation": {"growth": "geometric", "ratio": 1.5}, "det": {"n": 5000}}),
+    ("resolvent", {"resolvent": {"eval_points": 4097}}),
+])
+def test_run_node_ceiling_exits_budget(tmp_path, capsys, command, extra):
+    # Each config fails the ceiling check itself, before anything is allocated.
+    path = write_config(tmp_path, extra)
+    assert run_command([command, "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("E_BUDGET ")

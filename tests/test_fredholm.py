@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fredkern as fk
-from fredkern.fredholm import det_from_lu
+from fredkern.fredholm import det_from_lu, shifted_identity
 from conftest import gauss_overlap, xgauss_overlap
 
 LAMBDAS = (0.3, 0.5, 0.5 + 0.2j)
@@ -271,3 +271,28 @@ def test_near_zero_threshold():
     # Threshold scales with |lambda|: 1e-10 * (1 + 10) = 1.1e-9.
     assert fk.is_characteristic(1e-9, 10.0)
     assert not fk.is_characteristic(5e-9, 10.0)
+
+
+def test_char_scan_keeps_double_zero(trunc):
+    # K = g x g + 4 xg x xg + 0.3 g x xg has a 2x2 Jordan block at
+    # 1/sqrt(pi/2).  Newton fixes a double zero only to about sqrt(eps), so
+    # its polish stalls; the last iterate is kept because |det| passes.
+    g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
+    k = fk.KernelSpec("separable_sum", ((1.0, g, g), (4.0, xg, xg), (0.3, g, xg)))
+    grid = fk.build_grid(trunc, 6, 2, 8)
+    zeros = fk.char_scan(k, trunc, 6, (0.0, 2.0, -0.5, 0.5), 1.0, grid).zeros
+    assert len(zeros) == 1
+    assert abs(zeros[0] - 1.0 / math.sqrt(math.pi / 2.0)) <= 1e-6
+
+
+def test_shifted_identity_real_exactly_when_matrix_and_lambda_real():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((6, 6))
+    for a, lam, dtype in ((real, 0.4, np.float64), (real, complex(-0.4, 0.0), np.float64),
+                          (real, 0.4 + 0.1j, np.complex128), (real + 0j, 0.4, np.complex128)):
+        m = shifted_identity(a, lam)
+        assert m.dtype == dtype and m.flags.f_contiguous
+        assert np.array_equal(m, np.eye(6) - complex(lam) * a)
+        d = fk.det_matrix(fk.NystromMatrix(entries=a, variant="plain", grid=None), lam)
+        assert isinstance(d.value, complex)
+        assert d.value == pytest.approx(np.linalg.det(np.eye(6) - complex(lam) * a), rel=1e-12)

@@ -213,3 +213,59 @@ def test_projection_helper(trunc):
     assert np.all(proj[np.abs(nodes) >= 2.0] == 0.0)
     inside = np.abs(nodes) < 2.0
     assert np.allclose(proj[inside], vals[inside])
+
+
+def _random_separable(rng, rank):
+    kinds = ("gauss", "x_gauss", "sech")
+
+    def basis():
+        return fk.BasisFn(kinds[rng.integers(3)], rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5))
+
+    coeffs = rng.uniform(-1.5, 1.5, rank) + 1j * rng.uniform(-1.5, 1.5, rank)
+    return fk.KernelSpec("separable_sum", tuple((c, basis(), basis()) for c in coeffs))
+
+
+def test_eval_kernel_dtype(rank2, gcauchy):
+    s = np.linspace(-3.0, 3.0, 7)
+    g = fk.BasisFn("gauss")
+    complex_coeff = fk.KernelSpec("separable_sum", ((1.0, g, g), (0.5j, g, g)))
+    table = np.exp(-np.add.outer(s * s, s * s))
+    real_table = fk.KernelSpec("custom_tabulated", table_radius=3.0, table_values=table)
+    complex_table = fk.KernelSpec("custom_tabulated", table_radius=3.0, table_values=table * 1j)
+    for k, dtype in ((rank2, np.float64), (gcauchy, np.float64), (real_table, np.float64),
+                     (complex_coeff, np.complex128), (complex_table, np.complex128)):
+        assert fk.eval_kernel(k, s[:, None], s[None, :]).dtype == dtype
+        assert fk.eval_kernel(k, 0.3, s).dtype == dtype
+        scalar = fk.eval_kernel(k, 0.3, -0.2)
+        assert type(scalar) is (float if dtype == np.float64 else complex)
+
+
+def test_gauss_cauchy_values_unchanged(gcauchy):
+    s = np.linspace(-5.0, 5.0, 41)
+    got = fk.eval_kernel(gcauchy, s[:, None], s[None, :])
+    want = np.exp(-(s[:, None] ** 2 + s[None, :] ** 2)) / (1.0 + (s[:, None] - s[None, :]) ** 2)
+    assert np.array_equal(got, want)
+
+
+def test_separable_product_matches_term_sum():
+    # Rank 1-12 complex-coefficient kernels against the explicit term sum,
+    # relative to the size of the terms, in every broadcast layout.
+    rng = np.random.default_rng(7)
+    s = np.linspace(-4.0, 4.0, 37)
+    t = np.linspace(-3.5, 4.5, 29)
+    for rank in range(1, 13):
+        k = _random_separable(rng, rank)
+        terms = [complex(c) * left(s)[:, None] * right(t)[None, :] for c, left, right in k.terms]
+        want = np.sum(terms, axis=0)
+        scale = np.max(np.sum(np.abs(terms), axis=0))
+        grid = fk.eval_kernel(k, s[:, None], t[None, :])
+        rows = np.array([fk.eval_kernel(k, si, t) for si in s])
+        swapped = fk.eval_kernel(k, s[None, :], t[:, None]).T
+        flat = fk.eval_kernel(k, np.repeat(s, len(t)), np.tile(t, len(s))).reshape(want.shape)
+        for got in (grid, rows, swapped, flat):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        # A one-row grid and scalar x vector go through the same product.
+        for si in s[::6]:
+            one_row = fk.eval_kernel(k, np.array([[si]]), t[None, :])[0]
+            assert np.array_equal(one_row, fk.eval_kernel(k, si, t))

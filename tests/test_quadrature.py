@@ -149,3 +149,31 @@ def test_tail_norm_requires_outer_coverage(rank1, trunc):
     small = fk.build_grid(trunc, 2, 2, 8)
     with pytest.raises(ValueError):
         fk.tail_norm(rank1, trunc, 6, 1, small)
+
+
+@pytest.mark.parametrize("order", fk.quadrature.SUPPORTED_ORDERS)
+def test_cached_gauss_legendre_rule_is_bit_identical(order):
+    xi, wi = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-1.5, 2.5, 4)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    for _ in range(2):
+        nodes, weights = fk.gauss_legendre_panels(-1.5, 2.5, 3, order)
+        assert np.array_equal(nodes, (mids[:, None] + halfs[:, None] * xi[None, :]).ravel())
+        assert np.array_equal(weights, (halfs[:, None] * wi[None, :]).ravel())
+
+
+def test_grid_node_ceiling(trunc):
+    ceiling = fk.quadrature.DEFAULT_NODE_CEILING
+    # Exactly at the ceiling: 512 panels of order 8 on (-1, 1).
+    assert len(fk.grid_on_interval(-1.0, 1.0, ceiling // 16, 8).nodes) == ceiling
+    # One panel more, a huge interval and an infinite one are refused by the
+    # check itself, before any node is allocated.
+    for a, b, ppu, order in ((-1.0, 1.0, ceiling // 16 + 1, 8), (-1e300, 1e300, 4, 8),
+                             (-math.inf, math.inf, 1, 4), (-4.0, 4.0, 10**12, 16)):
+        with pytest.raises(fk.BudgetExceededError):
+            fk.grid_on_interval(a, b, ppu, order)
+    with pytest.raises(fk.BudgetExceededError):
+        fk.build_grid(fk.TruncationScheme(tau0=1e6), 1, 4, 8)
+    with pytest.raises(fk.BudgetExceededError):
+        fk.build_grid(fk.TruncationScheme(growth="geometric", ratio=1.5), 5000, 4, 8)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,3 +369,46 @@ def test_make_resolvent_at_huge_lambda_is_clean(gcauchy, trunc, lam):
         vals = h.eval_grid_matrix(SHORT, LONG)
     assert h.det.value == complex(math.inf)
     assert np.all(np.isfinite(vals))
+
+
+def test_factor_real_exactly_when_matrix_and_lambda_real(rank2, gcauchy, trunc, grid6):
+    g = fk.BasisFn("gauss")
+    complex_k = fk.KernelSpec("separable_sum", ((0.4 + 0.2j, g, g),))
+    cases = ((rank2, 0.3, True), (gcauchy, complex(-0.7, 0.0), True), (rank2, 0.3 + 0.1j, False),
+             (complex_k, 0.3, False), (complex_k, 0.3 + 0.1j, False))
+    pts = np.linspace(-4.5, 4.5, 5)
+    for k, lam, real in cases:
+        h = fk.make_resolvent(k, trunc, 6, lam, grid6)
+        assert (h.matrix.entries.dtype == np.float64) == (k is not complex_k)
+        assert (h.lu[0].dtype == np.float64) == real
+        # Public outputs stay complex.
+        assert isinstance(h.det.value, complex)
+        assert h.columns_at(pts).dtype == np.complex128
+        assert h.eval_grid_matrix(pts, pts).dtype == np.complex128
+        assert fk.solve_equation(h, np.exp(-grid6.nodes**2)).dtype == np.complex128
+
+
+def test_real_factor_complex_rhs_matches_complex_lu(trunc, grid6):
+    g, xg, sech = fk.BasisFn("gauss"), fk.BasisFn("x_gauss"), fk.BasisFn("sech", 1.3, 0.2)
+    real_k = fk.KernelSpec("separable_sum", ((1.0, g, g), (0.5, xg, sech)))
+    complex_k = fk.KernelSpec("separable_sum", ((0.7 - 0.4j, g, sech), (0.3j, xg, g)))
+    h = fk.make_resolvent(real_k, trunc, 6, 0.4, grid6)
+    assert h.lu[0].dtype == np.float64
+    # Right-hand sides come from the handle's kernel, so a complex kernel on
+    # the real factor gives complex ones; `ref` solves them with a complex LU.
+    mixed = replace(h, kernel=complex_k)
+    ref = replace(mixed, lu=(h.lu[0].astype(complex), h.lu[1]))
+    s = np.linspace(-4.5, 4.5, 5)
+    t = np.linspace(-4.2, 4.4, 13)
+    gvec = np.exp(-(grid6.nodes - 0.5) ** 2) * (1.0 - 0.6j)
+    pairs = (
+        (mixed.columns_at(t), ref.columns_at(t)),
+        (mixed.columns_at(0.3), ref.columns_at(0.3)),
+        (mixed.eval_grid_matrix(s, t), ref.eval_grid_matrix(s, t)),  # row side
+        (mixed.eval_grid_matrix(t, s), ref.eval_grid_matrix(t, s)),  # column side
+        (h.apply(gvec), ref.apply(gvec)),
+        (replace(h, variant="tilde").apply(gvec), replace(ref, variant="tilde").apply(gvec)),
+    )
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
