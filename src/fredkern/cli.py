@@ -192,7 +192,7 @@ FIELDS = (
     ("converge", "n_list", [int], list(range(2, 11))),
     ("converge", "schedule", convergence.ShiftSchedule, {}),
     ("converge", "reference", _one_of(str, convergence.REFERENCES), "neumann_disk"),
-    ("converge", "eval_radius", float, 6.5),
+    ("converge", "eval_radius", _positive, 6.5),
     ("converge", "variant", _variant, "plain"),
     ("converge", "n_terms", int, 40),
     ("tailnorm", "m", int, 1),
@@ -258,23 +258,30 @@ def emit_grid_csv(path, header, rows):
     separator, floats in scientific notation with 17 significant digits.
     Byte-identical across runs for identical inputs."""
     header = list(header)
-    rows = [list(r) for r in rows]
+    rows = [tuple(r) for r in rows]
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
+    columns = [_text_column(col) for col in zip(*rows)]
+    row_format = ",".join(spec for spec, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        # Numbers never need CSV quoting, so each row is one format operation.
+        fh.writelines(row_format % row for row in zip(*(cells for _, cells in columns)))
 
 
-def _format_cell(v):
-    if isinstance(v, (bool, np.bool_)):
+def _text_column(col):
+    """A column's printf format and cells: integers in decimal, other numbers
+    as 17-digit floats, a column mixing both as preformatted text."""
+    kinds = set(map(type, col))
+    if any(issubclass(t, (bool, np.bool_)) for t in kinds):
         raise ValueError("boolean cells are not supported")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.16e}"
+    ints = {issubclass(t, (int, np.integer)) for t in kinds}
+    if ints == {False}:
+        return "%.16e", list(map(float, col))
+    if ints == {True}:
+        return "%d", col
+    return "%s", [str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.16e}" for v in col]
 
 
 # ---------------------------------------------------------------------------

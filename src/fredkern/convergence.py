@@ -4,11 +4,12 @@ tail-norm condition, and uniform-in-lambda sweeps for compact operators.
 
 Distances are discrete stand-ins for the sup norms on R^2 (max over an
 evaluation grid) and for sup-over-anchors of L^2 row/column distances
-(quadrature-weighted norms on a wide norm grid).
+(quadrature-weighted norms on the run grid of the call, see `_RunSampling`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,18 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CharacteristicValueError, ConfigError, NeumannDivergenceError, PoleError
-from .kernels import KernelSpec, TruncationScheme, subkernel_eval
+from .errors import CharacteristicValueError, ConfigError, PoleError
+from .kernels import KernelSpec, TruncationScheme, eval_kernel
 from .quadrature import (
     Discretization,
-    build_grid,
-    full_matrix,
-    grid_on_interval,
+    NystromMatrix,
+    _tail_norms,
     matrix_norm_estimate,
-    tail_norm,
+    run_grid,
     top_singular_value,
 )
-from .resolvent import _neumann_matrix, make_resolvent, neumann_kernel_matrix
+from .resolvent import _check_disk, _factor, _neumann_sum
 
 REFERENCES = ("neumann_disk", "largest_n")
 
@@ -85,32 +85,119 @@ class ConvergenceReport:
 
 
 def _row_col_distances(h_vals, ref_vals, weights, axis):
-    diff2 = np.abs(h_vals - ref_vals) ** 2
-    if axis == 1:
-        norms = np.sqrt((diff2 * weights[None, :]).sum(axis=1).real)
-    else:
-        norms = np.sqrt((diff2 * weights[:, None]).sum(axis=0).real)
+    """Largest L^2 distance over rows (axis=1) or columns (axis=0)."""
+    w = weights[None, :] if axis == 1 else weights[:, None]
+    norms = np.sqrt((np.abs(h_vals - ref_vals) ** 2 * w).sum(axis=axis))
     return float(np.max(norms)) if norms.size else 0.0
 
 
+class _RunSampling:
+    """The one kernel sampling of a convergence call.
+
+    The run grid spans (-R, R), R = max(tail radius, max tau_n), with panel
+    edges at +-tau_n for every n of the call.  K is sampled once on z x z,
+    where z is the evaluation nodes e followed by the run-grid nodes x; every
+    per-n matrix, reference block and norm is a restriction of that sampling.
+    """
+
+    def __init__(self, k, trunc, n_list, eval_grid, panels_per_unit, order):
+        if not n_list:
+            raise ValueError("n_list must be non-empty")
+        taus = [trunc.tau(n) for n in n_list]
+        self.k, self.trunc, self.n_list = k, trunc, n_list
+        self.e, self.ne = eval_grid.nodes, len(eval_grid.nodes)
+        self.grid = run_grid(max(k.tail_radius(), max(taus)), taus, panels_per_unit, order)
+        self.z = np.concatenate([self.e, self.grid.nodes])
+        self.kz = eval_kernel(k, self.z[:, None], self.z[None, :])
+        # K(z, x) W; its x rows are the full-kernel collocation matrix A.
+        self.rows_w = self.kz[:, self.ne:] * self.grid.weights
+        # Per n: the plain Nystrom matrix of K_n, which is the principal block
+        # of A on the nodes |x| < tau_n, and the slice of z holding those nodes.
+        self.blocks = {}
+        for n, tau in zip(n_list, taus):
+            i0, i1 = np.searchsorted(self.grid.nodes, [-tau, tau])
+            inner = slice(self.ne + i0, self.ne + i1)
+            a_n = NystromMatrix(self.rows_w[inner, i0:i1], "plain", self.grid.inside(tau))
+            self.blocks[n] = (a_n, inner)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Operator norm estimate of the full kernel on the run grid."""
+        return matrix_norm_estimate(self.rows_w[self.ne:], self.grid.weights)
+
+    def series(self, lam, n_terms):
+        """The Neumann reference on (z, e) and on (e, x)."""
+        kz, ne, a = self.kz, self.ne, self.rows_w[self.ne:]
+        return (_neumann_sum(lam, self.rows_w, a, kz[ne:, :ne], kz[:, :ne], n_terms),
+                _neumann_sum(lam, self.rows_w[:ne], a, kz[ne:, ne:], kz[:ne, ne:], n_terms))
+
+    def evaluate(self, h):
+        """The handle's resolvent kernel on (z, e) and on (e, x)."""
+        kz, ne, inner, x = self.kz, self.ne, self.blocks[h.n][1], self.grid.nodes
+        chi = self.trunc.chi(h.n, self.z)[:, None]
+        return (h._extend(kz[:, inner] * chi, kz[inner, :ne], kz[:, :ne] * chi, self.e),
+                h._extend(kz[:ne, inner] * chi[:ne], kz[inner, ne:], kz[:ne, ne:] * chi[:ne], x))
+
+    def diagnose(self, lam, schedule, reference, variant, n_terms) -> ConvergenceReport:
+        """`resolvent_convergence_diagnostic` on this sampling."""
+
+        def handle(n):
+            lam_n = lambda_shift(lam, schedule, n)
+            return _factor(self.k, self.trunc, n, lam_n, self.blocks[n][0], variant)
+
+        reference_n = None
+        failed = set()
+        if reference == "neumann_disk":
+            _check_disk(lam, self.norm)
+            ref = self.series(lam, n_terms)
+        else:
+            # Fall back to the largest regular index when the shifted lambda is
+            # numerically characteristic at the top of the list.
+            for reference_n in reversed(self.n_list):
+                try:
+                    h_ref = handle(reference_n)
+                    break
+                except CharacteristicValueError as err:
+                    failed.add(reference_n)
+                    last_err = err
+            else:
+                raise last_err
+            ref = self.evaluate(h_ref)
+        # The (z, e) values stack the (e, e) and (x, e) blocks.
+        ref_t, ref_cols = np.split(ref[0], [self.ne])
+        wy = self.grid.weights
+
+        used, skipped = [], []
+        sup_t, sup_row, sup_col = [], [], []
+        for n in self.n_list:
+            try:
+                h = None if n == reference_n or n in failed else handle(n)
+            except CharacteristicValueError:
+                failed.add(n)
+            if n in failed:
+                skipped.append(n)
+                continue
+            on_ze, on_ex = ref if h is None else self.evaluate(h)
+            used.append(n)
+            h_t, h_cols = np.split(on_ze, [self.ne])
+            sup_t.append(float(np.max(np.abs(h_t - ref_t))))
+            sup_row.append(_row_col_distances(on_ex, ref[1], wy, axis=1))
+            sup_col.append(_row_col_distances(h_cols, ref_cols, wy, axis=0))
+        return ConvergenceReport(lam, tuple(used), tuple(sup_t), tuple(sup_row), tuple(sup_col),
+                                 reference, skipped=tuple(skipped), reference_n=reference_n)
+
+
 def resolvent_convergence_diagnostic(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    lam: complex,
-    schedule: ShiftSchedule,
-    n_list,
-    eval_grid: Discretization,
-    reference: str = "neumann_disk",
-    variant: str = "plain",
-    panels_per_unit: int = 4,
-    order: int = 8,
-    n_terms: int = 40,
+    k: KernelSpec, trunc: TruncationScheme, lam: complex, schedule: ShiftSchedule, n_list,
+    eval_grid: Discretization, reference: str = "neumann_disk", variant: str = "plain",
+    panels_per_unit: int = 4, order: int = 8, n_terms: int = 40,
 ) -> ConvergenceReport:
     """Distances from the shifted-sequence resolvents to the reference.
 
     For each n, builds the truncated resolvent at lambda_n(lambda) and records
     the sup over eval_grid x eval_grid of the kernel difference, plus the sup
-    over anchors of L^2 row-function and column-function distances.
+    over anchors of L^2 row-function and column-function distances on the run
+    grid (see `_RunSampling`).
 
     reference "neumann_disk" targets the full-kernel resolvent through its
     series (requires |lambda|*||T|| < 1); "largest_n" targets the resolvent at
@@ -120,74 +207,10 @@ def resolvent_convergence_diagnostic(
     Truncation indices where lambda_n is numerically characteristic are
     recorded in `skipped` and left out of the distance sequences.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if not n_list:
-        raise ValueError("n_list must be non-empty")
-    lam = complex(lam)
-    radius = max(k.tail_radius(), trunc.tau(max(n_list)))
-    norm_grid = grid_on_interval(-radius, radius, panels_per_unit, order)
-
-    reference_n = None
-    if reference == "neumann_disk":
-        # Raises NeumannDivergenceError outside the disk.
-        a = _neumann_matrix(k, lam, norm_grid)[0]
-
-        def ref_values(s_pts, t_pts):
-            return neumann_kernel_matrix(k, lam, s_pts, t_pts, norm_grid, n_terms, _matrix=a)
-
-    elif reference == "largest_n":
-        # Fall back to the largest regular index when the shifted lambda is
-        # numerically characteristic at the top of the list.
-        h_ref = None
-        last_err = None
-        for n_ref in reversed(n_list):
-            lam_ref = lambda_shift(lam, schedule, n_ref)
-            grid_ref = build_grid(trunc, n_ref, panels_per_unit, order)
-            try:
-                h_ref = make_resolvent(k, trunc, n_ref, lam_ref, grid_ref, variant=variant)
-                reference_n = n_ref
-                break
-            except CharacteristicValueError as err:
-                last_err = err
-        if h_ref is None:
-            raise last_err
-        ref_values = h_ref.eval_grid_matrix
-    else:
+    if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}")
-
-    e = eval_grid.nodes
-    y = norm_grid.nodes
-    wy = norm_grid.weights
-    ey = np.concatenate([e, y])
-    # The (e, e) and (y, e) blocks share their columns: one call, split by rows.
-    ref_t, ref_cols = np.split(ref_values(ey, e), [len(e)])
-    ref_rows = ref_values(e, y)
-
-    used, skipped = [], []
-    sup_t, sup_row, sup_col = [], [], []
-    for n in n_list:
-        lam_n = lambda_shift(lam, schedule, n)
-        grid_n = build_grid(trunc, n, panels_per_unit, order)
-        try:
-            h = make_resolvent(k, trunc, n, lam_n, grid_n, variant=variant)
-        except CharacteristicValueError:
-            skipped.append(n)
-            continue
-        used.append(n)
-        h_t, h_cols = np.split(h.eval_grid_matrix(ey, e), [len(e)])
-        sup_t.append(float(np.max(np.abs(h_t - ref_t))))
-        sup_row.append(_row_col_distances(h.eval_grid_matrix(e, y), ref_rows, wy, axis=1))
-        sup_col.append(_row_col_distances(h_cols, ref_cols, wy, axis=0))
-    return ConvergenceReport(
-        lam=lam,
-        n_values=tuple(used),
-        sup_T_diff=tuple(sup_t),
-        sup_row_diff=tuple(sup_row),
-        sup_col_diff=tuple(sup_col),
-        reference_source=reference,
-        skipped=tuple(skipped),
-        reference_n=reference_n,
-    )
+    run = _RunSampling(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
+    return run.diagnose(complex(lam), schedule, reference, variant, n_terms)
 
 
 @dataclass(frozen=True)
@@ -198,13 +221,8 @@ class BoundednessProbe:
 
 
 def boundedness_probe(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    zeta: complex,
-    schedule: ShiftSchedule,
-    n_list,
-    panels_per_unit: int = 4,
-    order: int = 8,
+    k: KernelSpec, trunc: TruncationScheme, zeta: complex, schedule: ShiftSchedule, n_list,
+    panels_per_unit: int = 4, order: int = 8,
 ) -> BoundednessProbe:
     """Empirical membership test for the region of boundedness of the shifted
     truncated operators beta_n*I + T_n at zeta.
@@ -218,30 +236,25 @@ def boundedness_probe(
     if zeta == 0:
         raise ValueError("zeta = 0 is excluded by definition")
     n_list = sorted(int(n) for n in n_list)
-    grid = build_grid(trunc, max(n_list), panels_per_unit, order)
+    taus = [trunc.tau(n) for n in n_list]
+    grid = run_grid(max(taus), taus, panels_per_unit, order)
     sw = np.sqrt(grid.weights)
     x = grid.nodes
+    # The weight-symmetrized kernel, sampled once; T_n masks its rows by chi_n.
+    b_full = sw[:, None] * eval_kernel(k, x[:, None], x[None, :]) * sw[None, :]
     norms = []
-    dim = len(x)
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(len(x), dtype=complex)
     for n in n_list:
-        beta = schedule.beta(n)
-        kvals = np.asarray(subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :]))
-        b_op = beta * eye + sw[:, None] * kvals * sw[None, :]
+        b_op = schedule.beta(n) * eye + trunc.chi(n, x)[:, None] * b_full
         # A characteristic zeta makes the factor (numerically) singular; the
         # resulting norm blows up or overflows, which the divergence
         # heuristic below classifies as unbounded.
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
             lu_piv = lu_factor(eye - zeta * b_op)
-
-            def apply(v, b=b_op, lu=lu_piv):
-                return b @ lu_solve(lu, v)
-
-            def apply_h(u, b=b_op, lu=lu_piv):
-                return b.conj().T @ lu_solve(lu, u, trans=2)
-
-            norms.append(top_singular_value(apply, apply_h, dim))
+            b_h = b_op.conj().T
+            norms.append(top_singular_value(lambda v: b_op @ lu_solve(lu_piv, v),
+                                            lambda u: b_h @ lu_solve(lu_piv, u, trans=2), len(x)))
 
     if not all(math.isfinite(v) for v in norms):
         return BoundednessProbe(bounded=False, M=math.inf, norms=tuple(norms))
@@ -252,20 +265,14 @@ def boundedness_probe(
 
 
 def tail_condition_report(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    m: int,
-    n_list,
-    disc: Discretization,
-    variant: str = "plain",
+    k: KernelSpec, trunc: TruncationScheme, m: int, n_list, disc: Discretization, variant: str = "plain"
 ):
     """Sequence of composite tail norms ||(T - T_n) T_n^m|| over n_list (or the
     both-sided-truncation analogue for variant "tilde").  A sequence falling
     below ~1e-6 marks every probed regular lambda as a strong-convergence
-    point for the shifted truncated resolvents."""
-    if m < 1:
-        raise ValueError("power m must be >= 1")
-    return [tail_norm(k, trunc, n, m, disc, variant=variant) for n in sorted(n_list)]
+    point for the shifted truncated resolvents.  One kernel sampling serves
+    every n (see `quadrature._tail_norms`)."""
+    return _tail_norms(k, trunc, m, sorted(n_list), disc, variant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,15 +287,8 @@ class CompactSweep:
 
 
 def compact_sweep(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    lambda_samples,
-    n_list,
-    eval_grid: Discretization,
-    variant: str = "plain",
-    panels_per_unit: int = 4,
-    order: int = 8,
-    n_terms: int = 40,
+    k: KernelSpec, trunc: TruncationScheme, lambda_samples, n_list, eval_grid: Discretization,
+    variant: str = "plain", panels_per_unit: int = 4, order: int = 8, n_terms: int = 40,
 ) -> CompactSweep:
     """Unshifted (lambda_n = lambda) convergence sweep over several lambdas,
     with the per-distance envelope (max over lambda at each n).
@@ -297,52 +297,26 @@ def compact_sweep(
     falls back to the largest-n resolvent.  Samples where any truncation index
     is numerically characteristic are skipped and reported.
     """
-    n_list = sorted(int(n) for n in n_list)
     schedule = ShiftSchedule("zero")
-    grid_probe = grid_on_interval(-k.tail_radius(), k.tail_radius(), panels_per_unit, order)
-    norm_t = matrix_norm_estimate(full_matrix(k, grid_probe), grid_probe.weights)
-
+    run = _RunSampling(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
     reports, kept, skipped = [], [], []
-    for lam in lambda_samples:
-        lam = complex(lam)
-        reference = "neumann_disk" if abs(lam) * norm_t < 1.0 else "largest_n"
+    for lam in map(complex, lambda_samples):
+        # One norm picks the reference and guards the series.
+        reference = "neumann_disk" if abs(lam) * run.norm < 1.0 else "largest_n"
         try:
-            rep = resolvent_convergence_diagnostic(
-                k,
-                trunc,
-                lam,
-                schedule,
-                n_list,
-                eval_grid,
-                reference=reference,
-                variant=variant,
-                panels_per_unit=panels_per_unit,
-                order=order,
-                n_terms=n_terms,
-            )
-        except (CharacteristicValueError, NeumannDivergenceError):
+            rep = run.diagnose(lam, schedule, reference, variant, n_terms)
+        except CharacteristicValueError:
+            rep = None
+        if rep is None or rep.skipped:
             skipped.append(lam)
-            continue
-        if rep.skipped:
-            skipped.append(lam)
-            continue
-        reports.append(rep)
-        kept.append(lam)
+        else:
+            reports.append(rep)
+            kept.append(lam)
 
     if reports:
-        env_t = tuple(np.max([r.sup_T_diff for r in reports], axis=0))
-        env_row = tuple(np.max([r.sup_row_diff for r in reports], axis=0))
-        env_col = tuple(np.max([r.sup_col_diff for r in reports], axis=0))
         n_values = reports[0].n_values
+        envelopes = [tuple(np.max([getattr(r, name) for r in reports], axis=0))
+                     for name in ("sup_T_diff", "sup_row_diff", "sup_col_diff")]
     else:
-        env_t = env_row = env_col = ()
-        n_values = ()
-    return CompactSweep(
-        reports=tuple(reports),
-        lambdas=tuple(kept),
-        skipped_lambdas=tuple(skipped),
-        n_values=n_values,
-        envelope_T=env_t,
-        envelope_row=env_row,
-        envelope_col=env_col,
-    )
+        n_values, envelopes = (), ((), (), ())
+    return CompactSweep(tuple(reports), tuple(kept), tuple(skipped), n_values, *envelopes)

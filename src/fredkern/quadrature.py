@@ -10,7 +10,7 @@ here by deterministic power iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ DEFAULT_NODE_CEILING = 4096
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Composite quadrature grid over (lo, hi): strictly increasing nodes,
-    positive weights."""
+    positive weights, built with panels_per_unit panels per unit length."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -36,10 +36,18 @@ class Discretization:
     order: int
     lo: float
     hi: float
+    panels_per_unit: int
 
     @property
     def radius(self) -> float:
         return float(max(abs(self.lo), abs(self.hi)))
+
+    def inside(self, tau: float) -> Discretization:
+        """The nodes and weights with |x| < tau: a composite grid on
+        (-tau, tau) when +-tau are panel edges, as on a `run_grid`."""
+        keep = np.abs(self.nodes) < tau
+        return replace(self, nodes=self.nodes[keep], weights=self.weights[keep],
+                       panel_count=int(keep.sum()) // self.order, lo=-float(tau), hi=float(tau))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,29 +74,47 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
     return nodes, weights
 
 
+def _composite(edges, panels_per_unit, order: int) -> Discretization:
+    """Composite grid over the segments between consecutive edges; a segment
+    of length L gets ceil(L * panels_per_unit - 1e-9) panels (at least one).
+    At most DEFAULT_NODE_CEILING nodes."""
+    if panels_per_unit < 1:
+        raise ConfigError("quadrature.panels_per_unit", "must be >= 1")
+    spans = [(b - a) * panels_per_unit - 1e-9 for a, b in zip(edges, edges[1:])]
+    # Compared before rounding, so a huge or non-finite span never reaches int().
+    fits = sum(spans) * order <= DEFAULT_NODE_CEILING
+    panels = [max(1, int(math.ceil(s))) for s in spans] if fits else []
+    if not fits or sum(panels) * order > DEFAULT_NODE_CEILING:
+        raise BudgetExceededError(
+            f"a grid on ({edges[0]:.6g}, {edges[-1]:.6g}) with {panels_per_unit} panels per unit and "
+            f"order {order} exceeds the ceiling of {DEFAULT_NODE_CEILING} nodes"
+        )
+    parts = [gauss_legendre_panels(a, b, p, order) for a, b, p in zip(edges, edges[1:], panels)]
+    return Discretization(np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts]),
+                          sum(panels), order, float(edges[0]), float(edges[-1]), panels_per_unit)
+
+
 def grid_on_interval(a: float, b: float, panels_per_unit: int, order: int) -> Discretization:
     """Composite grid on (a, b) with roughly panels_per_unit panels per unit
     length; at most DEFAULT_NODE_CEILING nodes."""
-    span = (b - a) * panels_per_unit - 1e-9
-    # Compared before rounding, so a huge or non-finite span never reaches int().
-    if not span * order <= DEFAULT_NODE_CEILING:
-        raise BudgetExceededError(
-            f"a grid on ({a:.6g}, {b:.6g}) with {panels_per_unit} panels per unit and order "
-            f"{order} exceeds the ceiling of {DEFAULT_NODE_CEILING} nodes"
-        )
-    panels = max(1, int(math.ceil(span)))
-    nodes, weights = gauss_legendre_panels(a, b, panels, order)
-    return Discretization(
-        nodes=nodes, weights=weights, panel_count=panels, order=order, lo=float(a), hi=float(b)
-    )
+    return _composite([a, b], panels_per_unit, order)
 
 
 def build_grid(trunc: TruncationScheme, n: int, panels_per_unit: int, order: int) -> Discretization:
     """Grid on the truncation interval (-tau_n, tau_n)."""
-    if panels_per_unit < 1:
-        raise ConfigError("quadrature.panels_per_unit", "must be >= 1")
     tau = trunc.tau(n)
     return grid_on_interval(-tau, tau, panels_per_unit, order)
+
+
+def run_grid(radius: float, taus, panels_per_unit: int, order: int) -> Discretization:
+    """The grid of one run over several truncation indices: a composite grid
+    on (-radius, radius) whose panel edges include +-tau for every tau below
+    radius.  Each segment between consecutive edges is panelled as by
+    grid_on_interval, so the nodes with |x| < tau form a grid on (-tau, tau)
+    (`Discretization.inside`) and the jump of chi_n falls on panel edges."""
+    cuts = sorted({float(t) for t in taus if t < radius})
+    edges = [-radius] + [-t for t in reversed(cuts)] + cuts + [radius]
+    return _composite(edges, panels_per_unit, order)
 
 
 def nystrom_matrix(
@@ -160,64 +186,58 @@ def operator_norm_estimate(m: NystromMatrix) -> float:
 
 def matrix_norm_estimate(entries: np.ndarray, weights: np.ndarray) -> float:
     """Operator norm for a raw collocation matrix (entries = K * W)."""
-    b = _weighted_form(entries, weights, weights)
+    return _largest_singular_value(_weighted_form(entries, weights, weights))
+
+
+def _largest_singular_value(b: np.ndarray) -> float:
     bh = b.conj().T
     return top_singular_value(lambda v: b @ v, lambda u: bh @ u, b.shape[1])
 
 
-def tail_norm(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    n: int,
-    m: int,
-    grid_outer: Discretization,
-    variant: str = "plain",
-) -> float:
+def tail_norm(k: KernelSpec, trunc: TruncationScheme, n: int, m: int, grid_outer: Discretization,
+              variant: str = "plain") -> float:
     """Operator norm of (T - T_n) T_n^m (variant "plain"), or of the analogue
     with both-sided truncation (variant "tilde").
 
-    The composite kernel is supported on |s| >= tau_n in the first variable and
-    is assembled from an annulus grid there, the interval grid on
-    (-tau_n, tau_n) for the inner convolutions, and grid_outer for the second
-    variable; grid_outer should reach past 2*tau_n.
+    grid_outer gives the radius R, the panels per unit and the order; R
+    should reach past 2*tau_n.  See `_tail_norms`.
+    """
+    return _tail_norms(k, trunc, m, [n], grid_outer, variant)[0]
+
+
+def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
+    """`tail_norm` for every n of n_list, from one kernel sampling on the
+    `run_grid` of (-R, R) with edges at +-tau_n.
+
+    The composite kernel (1 - chi_n(s)) sum_y K(s,y) w_y [A_n^{m-1} K](y,t)
+    takes s from the grid nodes with |s| > tau_n and y from those inside, a
+    contiguous range; for "tilde" it is masked by chi_n(t) as well.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    tau = trunc.tau(n)
+    taus = [trunc.tau(n) for n in n_list]
     radius = grid_outer.radius
-    if radius <= tau + 1e-12:
+    if radius <= max(taus) + 1e-12:
         raise ValueError(
-            f"grid_outer radius {radius:.6g} must exceed tau_n={tau:.6g} to cover the tail"
-        )
-    ppu = max(1, round(grid_outer.panel_count / (2.0 * radius)))
-    order = grid_outer.order
-
-    # s-annulus tau_n <= |s| <= R, both sides.
-    pos_n, pos_w = gauss_legendre_panels(
-        tau, radius, max(1, int(math.ceil((radius - tau) * ppu - 1e-9))), order
-    )
-    s_nodes = np.concatenate([-pos_n[::-1], pos_n])
-    s_weights = np.concatenate([pos_w[::-1], pos_w])
-
-    inner = grid_on_interval(-tau, tau, ppu, order)
-    y, wy = inner.nodes, inner.weights
-
-    # Outer factor T(s, y) * w_y for s in the annulus (chi-hat mask is implicit).
-    outer = eval_kernel(k, s_nodes[:, None], y[None, :])
-    outer *= wy
-
-    # Inner iterated kernel of T_n on the interval grid, evaluated out to grid_outer.
-    a_in = eval_kernel(k, y[:, None], y[None, :])
-    a_in *= wy
-    cols = eval_kernel(k, y[:, None], grid_outer.nodes[None, :])
-    for _ in range(m - 1):
-        cols = a_in @ cols
-    if variant == "tilde":
-        cols = cols * trunc.chi(n, grid_outer.nodes)[None, :]
-
-    composite = outer @ cols
-    b = _weighted_form(composite * grid_outer.weights[None, :], s_weights, grid_outer.weights)
-    bh = b.conj().T
-    return top_singular_value(lambda v: b @ v, lambda u: bh @ u, b.shape[1])
+            f"grid_outer radius {radius:.6g} must exceed tau_n={max(taus):.6g} to cover the tail")
+    grid = run_grid(radius, taus, grid_outer.panels_per_unit, grid_outer.order)
+    x, w = grid.nodes, grid.weights
+    kx = eval_kernel(k, x[:, None], x[None, :])
+    norms = []
+    for n, tau in zip(n_list, taus):
+        i0, i1 = np.searchsorted(x, [-tau, tau])
+        wy = w[i0:i1]
+        cols = kx[i0:i1]
+        for _ in range(m - 1):
+            cols = (kx[i0:i1, i0:i1] * wy) @ cols
+        if variant == "tilde":
+            cols = cols * trunc.chi(n, x)[None, :]
+        outer = np.concatenate([kx[:i0, i0:i1], kx[i1:, i0:i1]])
+        outer *= wy
+        composite = outer @ cols
+        composite *= w
+        w_out = np.concatenate([w[:i0], w[i1:]])
+        norms.append(_largest_singular_value(_weighted_form(composite, w_out, w)))
+    return norms

@@ -22,7 +22,6 @@ from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subker
 from .quadrature import (
     Discretization,
     NystromMatrix,
-    full_matrix,
     matrix_norm_estimate,
     nystrom_matrix,
 )
@@ -59,15 +58,15 @@ class ResolventHandle:
     def _plain(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return subkernel_eval(self.kernel, self.trunc, self.n, "plain", a[:, None], b[None, :])
 
-    def _columns(self, t_arr: np.ndarray) -> np.ndarray:
-        """(I - lambda*A)^{-1} K_n(., t), in the factor's own arithmetic."""
-        rhs = self._plain(self.grid.nodes, t_arr)
-        return _apply_linear(lambda b: lu_solve(self.lu, b), rhs, np.isrealobj(self.lu[0]))
+    def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """(I - lambda*A)^{-1} rhs (trans=1: transposed), in the factor's own arithmetic."""
+        return _apply_linear(lambda b: lu_solve(self.lu, b, trans=trans), rhs, np.isrealobj(self.lu[0]))
 
     def columns_at(self, t) -> np.ndarray:
         """Resolvent kernel at (nodes, t): the solution of the second-kind
         system with right-hand side K_n(., t).  Shape (N,) or (N, len(t))."""
-        sol = self._columns(np.atleast_1d(np.asarray(t, dtype=float))).astype(complex, copy=False)
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        sol = self._solve(self._plain(self.grid.nodes, t_arr)).astype(complex, copy=False)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return sol[:, 0]
         return sol
@@ -82,15 +81,19 @@ class ResolventHandle:
         s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
         t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
         x = self.grid.nodes
-        rows_w = self._plain(s_arr, x)
+        return self._extend(self._plain(s_arr, x), self._plain(x, t_arr), self._plain(s_arr, t_arr),
+                            t_arr)
+
+    def _extend(self, k_sx, k_xt, k_st, t_arr) -> np.ndarray:
+        """`eval_grid_matrix` from the plain truncated kernel sampled on
+        s x nodes, nodes x t and s x t; k_sx is scaled in place."""
+        rows_w = k_sx
         rows_w *= self.grid.weights
-        if len(s_arr) < len(t_arr):
-            real = np.isrealobj(self.lu[0])
-            left = _apply_linear(lambda b: lu_solve(self.lu, b, trans=1), rows_w.T, real).T
-            vals = self.lam * (left @ self._plain(x, t_arr))
+        if len(rows_w) < len(t_arr):
+            vals = self.lam * (self._solve(rows_w.T, trans=1).T @ k_xt)
         else:
-            vals = self.lam * (rows_w @ self._columns(t_arr))
-        vals += self._plain(s_arr, t_arr)
+            vals = self.lam * (rows_w @ self._solve(k_xt))
+        vals += k_st
         vals /= self.det_scale
         if self.variant == "tilde":
             vals *= self.trunc.chi(self.n, t_arr)
@@ -131,33 +134,25 @@ def _variant_entries(h: ResolventHandle) -> np.ndarray:
     return h.matrix.entries * chi[None, :]
 
 
-def make_resolvent(
-    k: KernelSpec,
-    trunc: TruncationScheme,
-    n: int,
-    lam: complex,
-    grid: Discretization,
-    variant: str = "plain",
-) -> ResolventHandle:
+def make_resolvent(k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, grid: Discretization,
+                   variant: str = "plain") -> ResolventHandle:
     """Build a resolvent handle; lambda must not be numerically characteristic."""
+    return _factor(k, trunc, n, lam, nystrom_matrix(k, trunc, n, "plain", grid), variant)
+
+
+def _factor(
+    k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, m: NystromMatrix, variant: str
+) -> ResolventHandle:
+    """The handle of `make_resolvent` for a given plain Nystrom matrix m of
+    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
-    m = nystrom_matrix(k, trunc, n, "plain", grid)
     lu_piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
     det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
     if is_characteristic(det.value, lam):
         raise CharacteristicValueError(lam, det.value)
-    return ResolventHandle(
-        kernel=k,
-        trunc=trunc,
-        n=n,
-        lam=lam,
-        det=det,
-        matrix=m,
-        lu=lu_piv,
-        variant=variant,
-    )
+    return ResolventHandle(kernel=k, trunc=trunc, n=n, lam=lam, det=det, matrix=m, lu=lu_piv, variant=variant)
 
 
 def resolvent_eval(h: ResolventHandle, s: float, t: float) -> complex:
@@ -259,22 +254,18 @@ class NeumannValue:
     terms: int
 
 
-def _carleman_sup_norms(k: KernelSpec, disc: Discretization):
-    x = disc.nodes
-    w = disc.weights
-    kv = np.asarray(eval_kernel(k, x[:, None], x[None, :]))
-    row = float(np.max(np.sqrt(np.sum(w[None, :] * np.abs(kv) ** 2, axis=1).real)))
-    col = float(np.max(np.sqrt(np.sum(w[:, None] * np.abs(kv) ** 2, axis=0).real)))
-    return row, col
-
-
-def _neumann_matrix(k: KernelSpec, lam: complex, disc: Discretization):
-    """Full-kernel collocation matrix on disc and its norm estimate, raising
-    NeumannDivergenceError unless |lambda| * ||T|| < 1."""
-    a = full_matrix(k, disc)
-    norm_t = matrix_norm_estimate(a, disc.weights)
+def _check_disk(lam: complex, norm_t: float) -> None:
+    """Raise NeumannDivergenceError unless |lambda| * ||T|| < 1."""
     if abs(complex(lam)) * norm_t >= 1.0:
         raise NeumannDivergenceError(lam, norm_t)
+
+
+def _neumann_matrix(lam: complex, kv: np.ndarray, weights: np.ndarray):
+    """Full-kernel collocation matrix kv * W and its norm estimate, raising
+    NeumannDivergenceError unless |lambda| * ||T|| < 1."""
+    a = kv * weights
+    norm_t = matrix_norm_estimate(a, weights)
+    _check_disk(lam, norm_t)
     return a, norm_t
 
 
@@ -289,23 +280,20 @@ def neumann_full(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    a, norm_t = _neumann_matrix(k, lam, disc)
+    x, w = disc.nodes, disc.weights
+    kv = eval_kernel(k, x[:, None], x[None, :])  # the one sampling: matrix, norm and Carleman sups
+    a, norm_t = _neumann_matrix(lam, kv, w)
     value = neumann_kernel_matrix(k, lam, s, t, disc, n_terms, _matrix=a)[0, 0]
     rate = abs(complex(lam)) * norm_t
-    sup_row, sup_col = _carleman_sup_norms(k, disc)
+    sq = np.abs(kv) ** 2
+    sup_row = float(np.max(np.sqrt(np.sum(w[None, :] * sq, axis=1).real)))
+    sup_col = float(np.max(np.sqrt(np.sum(w[:, None] * sq, axis=0).real)))
     tail = sup_row * sup_col * rate ** (n_terms - 1) / (1.0 - rate)
     return NeumannValue(value=complex(value), tail_bound=float(tail), terms=n_terms)
 
 
-def neumann_kernel_matrix(
-    k: KernelSpec,
-    lam: complex,
-    s_pts,
-    t_pts,
-    disc: Discretization,
-    n_terms: int,
-    _matrix: np.ndarray | None = None,
-) -> np.ndarray:
+def neumann_kernel_matrix(k: KernelSpec, lam: complex, s_pts, t_pts, disc: Discretization, n_terms: int,
+                          _matrix: np.ndarray | None = None) -> np.ndarray:
     """Vectorized partial Neumann series on the product grid s_pts x t_pts:
 
         K(s,t) + sum_{j=2..n_terms} lambda^{j-1} R A^{j-2} C,
@@ -321,18 +309,25 @@ def neumann_kernel_matrix(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    lam = complex(lam)
-    a = _neumann_matrix(k, lam, disc)[0] if _matrix is None else _matrix
+    x = disc.nodes
+    if _matrix is None:
+        _matrix = _neumann_matrix(lam, eval_kernel(k, x[:, None], x[None, :]), disc.weights)[0]
     s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
-    x = disc.nodes
     rows_w = eval_kernel(k, s_arr[:, None], x[None, :])
     rows_w *= disc.weights
     cols = eval_kernel(k, x[:, None], t_arr[None, :])
-    total = np.asarray(eval_kernel(k, s_arr[:, None], t_arr[None, :]), dtype=complex)
+    return _neumann_sum(lam, rows_w, _matrix, cols, eval_kernel(k, s_arr[:, None], t_arr[None, :]), n_terms)
+
+
+def _neumann_sum(lam, rows_w, a, cols, direct, n_terms: int) -> np.ndarray:
+    """The series of `neumann_kernel_matrix` from its samples: rows_w =
+    K(s,x) W, a = K(x,x) W, cols = K(x,t) and direct = K(s,t)."""
+    lam = complex(lam)
+    total = np.asarray(direct, dtype=complex)
     if n_terms == 1:
         return total
-    row_side = len(s_arr) <= len(t_arr)
+    row_side = len(rows_w) <= cols.shape[1]
     chain = rows_w if row_side else cols
     acc = lam * chain
     for j in range(2, n_terms):

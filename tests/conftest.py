@@ -9,6 +9,7 @@ tests use as independent references:
 
 import math
 
+import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
@@ -86,3 +87,23 @@ def grid10(trunc):
 def disc8():
     """Reference grid covering the built-in kernels' numerical support."""
     return fk.grid_on_interval(-8.0, 8.0, 4, 8)
+
+
+def record_square_samplings(monkeypatch, min_side):
+    """Record the shape of every kernel sampling with at least min_side rows
+    and columns, wherever the package calls eval_kernel from."""
+    from fredkern import convergence, kernels, quadrature, resolvent
+
+    shapes = []
+    sample = kernels.eval_kernel
+
+    def recording(k, s, t):
+        out = sample(k, s, t)
+        if np.ndim(out) == 2 and min(np.shape(out)) >= min_side:
+            shapes.append(np.shape(out))
+        return out
+
+    for mod in (kernels, quadrature, resolvent, convergence):
+        if hasattr(mod, "eval_kernel"):
+            monkeypatch.setattr(mod, "eval_kernel", recording)
+    return shapes

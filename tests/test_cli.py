@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -113,11 +115,14 @@ def test_parse_rejects_bad_values():
         ("det", {"converge": {"eval_radius": float("nan")}}, [], "converge.eval_radius"),
         ("scan", {"scan": {"region": [2.0, 0.0, -0.5, 0.5]}}, [], "scan.region"),
         ("scan", None, ["--region", "2,0,-0.5,0.5"], "argv.region"),
+        ("converge", {"converge": {"eval_radius": 0}}, [], "converge.eval_radius"),
+        ("converge", {"converge": {"eval_radius": -2}}, [], "converge.eval_radius"),
     ],
 )
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, command, extra, argv, path):
     # json.dumps writes NaN and Infinity, which json.loads accepts.  The last
-    # two cases are finite but reversed regions, refused at the same paths.
+    # four cases are finite: reversed regions and an evaluation radius that
+    # is not positive, refused at the same paths.
     config = write_config(tmp_path, extra)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -457,3 +462,53 @@ def test_run_node_ceiling_exits_budget(tmp_path, capsys, command, extra):
     path = write_config(tmp_path, extra)
     assert run_command([command, "--config", path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("E_BUDGET ")
+
+
+GOLDEN = os.path.join(ROOT, "tests", "data", "golden", "config_rank1")
+GOLDEN_CSV = {"solve": "solution.csv", "resolvent": "resolvent_grid.csv", "scan": "zeros.csv",
+              "converge": "convergence.csv", "tailnorm": "tailnorm.csv"}
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    return header, np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(len(rows), -1)
+
+
+@pytest.mark.parametrize("command", ["det", *GOLDEN_CSV])
+def test_config_rank1_outputs_match_golden(tmp_path, capsys, command):
+    # The golden files were written from demos/config_rank1.json by an
+    # earlier version.  Headers and row counts must match exactly; values to
+    # 1e-13 of each column's largest magnitude, since another CPU's BLAS may
+    # round differently.
+    config = os.path.join(ROOT, "demos", "config_rank1.json")
+    assert run_command([command, "--config", config, "--out", str(tmp_path)]) == 0
+    if command == "det":
+        with open(os.path.join(GOLDEN, "det.txt"), encoding="utf-8") as fh:
+            want = fh.read().split()
+        got = capsys.readouterr().out.split()
+        assert got[0] == want[0] == "D"
+        want_v, got_v = np.array(want[1:], dtype=float), np.array(got[1:], dtype=float)
+        assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+        return
+    want_header, want = read_csv(os.path.join(GOLDEN, GOLDEN_CSV[command]))
+    got_header, got = read_csv(str(tmp_path / GOLDEN_CSV[command]))
+    assert got_header == want_header and got.shape == want.shape
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_installed_entry_point_exit_codes(tmp_path):
+    # cli.main sets up logging and exits with run_command's code.
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+
+    def run(config):
+        return subprocess.run(
+            [sys.executable, "-m", "fredkern.cli", "det", "--config", config, "--out", str(tmp_path)],
+            capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
+        )
+
+    ok = run("demos/config_rank1.json")
+    assert ok.returncode == 0 and ok.stdout.startswith("D ")
+    missing = run(str(tmp_path / "missing.json"))
+    assert missing.returncode == 1 and missing.stderr.startswith("E_CONFIG argv.config")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredkern as fk
-from fredkern import convergence
-from conftest import gauss_overlap
+from fredkern import convergence, resolvent
+from conftest import gauss_overlap, record_square_samplings
 
 N_LIST = range(2, 11)  # tau_n in {2, 2.5, ..., 6} under the default scheme
 
@@ -321,17 +321,18 @@ def test_report_entries_nonnegative_finite(rank2, trunc):
 
 
 def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkeypatch):
-    # The three series reference blocks come from two calls: (e u y) x e,
-    # split by rows, and e x y.  They match one call per block.
-    series = convergence.neumann_kernel_matrix
+    # The three series reference blocks come from two sums over the one
+    # kernel sampling: (e u y) x e, split by rows, and e x y.  They match one
+    # neumann_kernel_matrix call per block on the run grid.
+    series = convergence._neumann_sum
     calls = []
 
-    def recording(k, lam, s_pts, t_pts, disc, n_terms, _matrix=None):
-        out = series(k, lam, s_pts, t_pts, disc, n_terms, _matrix=_matrix)
-        calls.append((s_pts, t_pts, disc, out))
+    def recording(*args):
+        out = series(*args)
+        calls.append(out)
         return out
 
-    monkeypatch.setattr(convergence, "neumann_kernel_matrix", recording)
+    monkeypatch.setattr(convergence, "_neumann_sum", recording)
     lam = 0.25 + 0.15j
     egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
     fk.resolvent_convergence_diagnostic(
@@ -339,10 +340,79 @@ def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkey
         panels_per_unit=2,
     )
     assert len(calls) == 2
-    (_, _, disc, stacked), (_, _, _, ref_rows) = calls
+    stacked, ref_rows = calls
+    disc = fk.quadrature.run_grid(gcauchy.tail_radius(), [trunc.tau(4), trunc.tau(6)], 2, 8)
     e, y = egrid.nodes, disc.nodes
     blocks = ((stacked[: len(e)], e, e), (stacked[len(e):], y, e), (ref_rows, e, y))
     for block, s_pts, t_pts in blocks:
-        separate = series(gcauchy, lam, s_pts, t_pts, disc, 40)
+        separate = resolvent.neumann_kernel_matrix(gcauchy, lam, s_pts, t_pts, disc, 40)
         assert block.shape == separate.shape
         assert np.max(np.abs(block - separate)) <= 1e-14
+
+
+def _convergence_call(name, k, trunc, n_list, lambdas):
+    egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
+    sched = fk.ShiftSchedule("harmonic", 0.1)
+    if name == "compact_sweep":
+        return fk.compact_sweep(k, trunc, lambdas, n_list, egrid, panels_per_unit=2)
+    if name == "boundedness":
+        return fk.boundedness_probe(k, trunc, 0.3, sched, n_list, panels_per_unit=2)
+    if name == "tail":
+        return fk.tail_condition_report(k, trunc, 2, n_list, fk.grid_on_interval(-8, 8, 2, 8), "tilde")
+    lam = lambdas[0] if name == "neumann_disk" else lambdas[-1]
+    return fk.resolvent_convergence_diagnostic(k, trunc, lam, sched, n_list, egrid, name,
+                                               panels_per_unit=2)
+
+
+@pytest.mark.parametrize("name", ["neumann_disk", "largest_n", "compact_sweep", "boundedness", "tail"])
+def test_one_kernel_sampling_per_call(gcauchy, trunc, monkeypatch, name):
+    # Every per-n object is a restriction of one sampling on the run grid, so
+    # the number of samplings with at least as many rows and columns as the
+    # smallest per-n grid (64 nodes at n = 2) depends on neither the number of
+    # truncation indices nor the number of lambdas.
+    for n_list, lambdas in (([2, 4], [0.3]), ([2, 3, 4, 5, 6, 8], [0.3, 0.2 + 0.1j, 1.5])):
+        shapes = record_square_samplings(monkeypatch, 64)
+        _convergence_call(name, gcauchy, trunc, n_list, lambdas)
+        assert len(shapes) == 1, (n_list, shapes)
+        monkeypatch.undo()
+
+
+def test_largest_n_reference_factors_each_index_once(gcauchy, trunc, monkeypatch):
+    factor = resolvent.lu_factor
+    sizes = []
+
+    def counting(a, **kwargs):
+        sizes.append(len(a))
+        return factor(a, **kwargs)
+
+    monkeypatch.setattr(resolvent, "lu_factor", counting)
+    rep = fk.resolvent_convergence_diagnostic(
+        gcauchy, trunc, 0.6, fk.ShiftSchedule("zero"), [2, 4, 6], eval_grid(), "largest_n",
+        panels_per_unit=2,
+    )
+    assert rep.reference_n == 6 and rep.sup_T_diff[-1] == 0.0
+    assert sizes == [len(fk.build_grid(trunc, n, 2, 8).nodes) for n in (6, 2, 4)]
+
+
+def test_boundedness_probe_spectral_at_unaligned_tau(gcauchy):
+    # With tau0 = 1.1, tau_2 = 2.1 is no panel edge of a grid on (-tau_3, tau_3);
+    # the run grid puts one there.
+    trunc = fk.TruncationScheme(tau0=1.1)
+    sched = fk.ShiftSchedule("zero")
+    coarse, fine = (fk.boundedness_probe(gcauchy, trunc, 0.3, sched, [2, 3], ppu, 8).norms
+                    for ppu in (4, 32))
+    assert np.max(np.abs(np.array(coarse) - np.array(fine))) <= 1e-10
+
+
+def test_diagnostic_column_distances_spectral(gcauchy, trunc):
+    # At 3 and 5 panels per unit the tau_n = 2.5, 3.5, 4.5 are no panel edges
+    # of a grid on (-8, 8); the run grid puts them there, so the column
+    # distances agree with 16 panels per unit.
+    def col_diffs(ppu):
+        return np.array(fk.resolvent_convergence_diagnostic(
+            gcauchy, trunc, 0.3, fk.ShiftSchedule("zero"), [3, 5, 7], eval_grid(),
+            panels_per_unit=ppu).sup_col_diff)
+
+    fine = col_diffs(16)
+    for ppu in (3, 5):
+        assert np.max(np.abs(col_diffs(ppu) / fine - 1.0)) <= 1e-10

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fredkern as fk
-from conftest import GAUSS_FULL, XGAUSS_FULL, gauss_overlap, gauss_tail_l2
+from conftest import GAUSS_FULL, XGAUSS_FULL, gauss_overlap, gauss_tail_l2, record_square_samplings
 
 
 def test_grid_node_count_and_weight_sum(trunc):
@@ -177,3 +177,56 @@ def test_grid_node_ceiling(trunc):
         fk.build_grid(fk.TruncationScheme(tau0=1e6), 1, 4, 8)
     with pytest.raises(fk.BudgetExceededError):
         fk.build_grid(fk.TruncationScheme(growth="geometric", ratio=1.5), 5000, 4, 8)
+
+
+@pytest.mark.parametrize("ppu", [2, 4])
+def test_run_grid_is_bit_identical_where_taus_are_aligned(trunc, ppu):
+    # Under the default scheme every tau_n is a panel edge of the interval grids.
+    taus = [trunc.tau(n) for n in range(2, 11)]
+    run = fk.quadrature.run_grid(8.0, taus, ppu, 8)
+    whole = fk.grid_on_interval(-8.0, 8.0, ppu, 8)
+    assert np.array_equal(run.nodes, whole.nodes) and np.array_equal(run.weights, whole.weights)
+    assert run.panel_count == whole.panel_count and run.panels_per_unit == ppu
+    for n in range(2, 11):
+        inner, grid_n = run.inside(trunc.tau(n)), fk.build_grid(trunc, n, ppu, 8)
+        assert np.array_equal(inner.nodes, grid_n.nodes)
+        assert np.array_equal(inner.weights, grid_n.weights)
+        assert (inner.panel_count, inner.lo, inner.hi) == (grid_n.panel_count, grid_n.lo, grid_n.hi)
+
+
+def test_run_grid_node_counts(trunc):
+    # Each segment between consecutive edges +-R, +-tau_n is panelled on its
+    # own; where step * ppu is not an integer the aligned grid is larger.
+    taus = [trunc.tau(n) for n in range(2, 11)]
+    run = fk.quadrature.run_grid(8.0, taus, 3, 8)
+    assert (len(fk.grid_on_interval(-8.0, 8.0, 3, 8).nodes), len(run.nodes)) == (384, 448)
+    assert (len(fk.build_grid(trunc, 10, 3, 8).nodes), len(run.inside(6.0).nodes)) == (288, 352)
+    coarse = fk.quadrature.run_grid(6.0, taus, 1, 8)
+    assert (len(fk.build_grid(trunc, 10, 1, 8).nodes), len(coarse.nodes)) == (96, 160)
+    # Every tau is a panel edge: the nodes inside it integrate its interval.
+    for tau in taus:
+        assert run.inside(tau).weights.sum() == pytest.approx(2 * tau, rel=1e-14)
+    # Cuts that add panels count against the node ceiling.
+    ceiling = fk.quadrature.DEFAULT_NODE_CEILING
+    assert len(fk.quadrature.run_grid(1.0, [], ceiling // 16, 8).nodes) == ceiling
+    with pytest.raises(fk.BudgetExceededError):
+        fk.quadrature.run_grid(1.0, [0.301], ceiling // 16, 8)
+
+
+def test_tail_norm_tilde_spectral_at_unaligned_tau(gcauchy):
+    # tau_2 = 2.1 is no panel edge of the (-6, 6) grids below; the run grid
+    # puts one there, so the chi_n jump costs no accuracy.
+    trunc = fk.TruncationScheme(tau0=1.1)
+    values = {ppu: fk.tail_norm(gcauchy, trunc, 2, 1, fk.grid_on_interval(-6.0, 6.0, ppu, 8),
+                                variant="tilde") for ppu in (4, 8, 16, 32)}
+    for ppu in (4, 8, 16):
+        assert values[ppu] == pytest.approx(values[32], rel=1e-12, abs=0.0)
+
+
+def test_tail_condition_report_samples_once(gcauchy, trunc, disc8, monkeypatch):
+    shapes = record_square_samplings(monkeypatch, 64)
+    seq = fk.tail_condition_report(gcauchy, trunc, 2, [2, 3, 4, 5, 6], disc8, variant="tilde")
+    assert len(shapes) == 1
+    monkeypatch.undo()
+    for n, value in zip([2, 3, 4, 5, 6], seq):
+        assert value == pytest.approx(fk.tail_norm(gcauchy, trunc, n, 2, disc8, "tilde"), rel=1e-12)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fredkern as fk
-from conftest import gauss_overlap
+from conftest import gauss_overlap, record_square_samplings
 from fredkern.resolvent import neumann_kernel_matrix
 
 LAMBDAS = (0.1, 0.3, 0.5 + 0.2j)
@@ -269,6 +269,20 @@ def test_neumann_nilpotent_terms_vanish(odd, disc8):
     ten = fk.neumann_full(odd, 0.4, 0.0, 1.0, disc8, 10)
     assert two.value == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert abs(ten.value - two.value) <= 1e-15
+
+
+def test_neumann_full_samples_once(gcauchy, disc8, monkeypatch):
+    # One N x N sampling gives the matrix, its norm and the Carleman sups.
+    shapes = record_square_samplings(monkeypatch, len(disc8.nodes))
+    nv = fk.neumann_full(gcauchy, 0.4 + 0.2j, 0.3, -0.7, disc8, 25)
+    assert len(shapes) == 1
+    monkeypatch.undo()
+    assert nv.value == neumann_kernel_matrix(gcauchy, 0.4 + 0.2j, 0.3, -0.7, disc8, 25)[0, 0]
+    kv = np.abs(fk.eval_kernel(gcauchy, disc8.nodes[:, None], disc8.nodes[None, :])) ** 2
+    sup = np.max(np.sqrt(kv @ disc8.weights))  # rows and columns agree: the kernel is symmetric
+    rate = abs(0.4 + 0.2j) * fk.operator_norm_estimate(fk.NystromMatrix(
+        fk.eval_kernel(gcauchy, disc8.nodes[:, None], disc8.nodes[None, :]) * disc8.weights, "plain", disc8))
+    assert nv.tail_bound == pytest.approx(sup * sup * rate**24 / (1 - rate), rel=1e-12)
 
 
 def test_neumann_divergence_guard(rank1, disc8):
