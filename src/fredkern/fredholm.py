@@ -4,6 +4,12 @@ the trace recursion on the collocation matrix) and a direct matrix determinant
 det(I - lambda*A).  Characteristic values are the determinant zeros.  Since
 det(I - lambda*A) is the product of (1 - lambda*mu) over the eigenvalues mu of
 A, they are read off as 1/mu and polished by a few Newton steps.
+
+Every route works on the core of the Nystrom matrix: the r x r matrix V^T U
+when A = U V^T has exact factors of rank r < N, else A itself.  Sylvester's
+identity det(I - lambda U V^T) = det(I - lambda V^T U) and tr((U V^T)^k) =
+tr((V^T U)^k) make the determinant, its zeros and the series coefficients
+those of A.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import BudgetExceededError
-from .kernels import KernelSpec, TruncationScheme, subkernel_eval
-from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, nystrom_matrix
+from .kernels import KernelSpec, TruncationScheme, subkernel_eval, subkernel_factored
+from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, _assemble, nystrom_matrix
 
 # Highest series order det_series and minor_series evaluate.
 M_MAX = 8
@@ -100,11 +106,19 @@ def fredholm_coefficients(a: np.ndarray, m_max: int) -> np.ndarray:
 
 def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
     """Sum of Hadamard bounds |lambda|^m m^{m/2} (sup|K| vol)^m / m! over m > m_max;
-    inf once a term exceeds the float range."""
+    inf once a term exceeds the float range.
+
+    With b = |lambda| sup|K| vol, the ratio of term m+1 to term m is below
+    rho = b sqrt(e / (m + 1)), which falls with m.  Past the peak of the
+    terms (m > e b^2, so rho < 1) everything after term m is at most
+    term * rho / (1 - rho).  The sum stops once that bound is below 1e-17 of
+    the running total and adds it, so the result stays an upper bound.
+    """
     base = abs(lam) * sup_k * vol
     if base == 0.0:
         return 0.0
     log_base = math.log(base)
+    peak = math.e * base * base
     total = 0.0
     for m in range(m_max + 1, m_max + 2000):
         log_term = m * log_base + 0.5 * m * math.log(m) - math.lgamma(m + 1)
@@ -113,20 +127,27 @@ def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
                 break
             continue
         try:
-            total += math.exp(log_term)
+            term = math.exp(log_term)
         except OverflowError:
             return math.inf
+        total += term
+        if m > peak:
+            rho = base * math.sqrt(math.e / (m + 1))
+            if term * rho <= 1e-17 * total * (1.0 - rho):
+                return total + term * rho / (1.0 - rho)
     return total
 
 
 def _series_matrix(k, trunc, n, grid, node_ceiling):
+    """sup |K_n| over the grid's node pairs and the plain Nystrom matrix of
+    K_n, from one sampling."""
     if len(grid.nodes) > node_ceiling:
         raise BudgetExceededError(
             f"grid has {len(grid.nodes)} nodes, exceeding the ceiling {node_ceiling}"
         )
-    x = grid.nodes
-    kvals = np.asarray(subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :]))
-    return kvals, kvals * grid.weights[None, :]
+    kvals, factors = subkernel_factored(k, trunc, n, "plain", grid.nodes)
+    sup_k = float(np.max(np.abs(kvals)))
+    return sup_k, _assemble(kvals, factors, "plain", grid)
 
 
 def det_series(
@@ -142,12 +163,11 @@ def det_series(
     Hadamard bound on the dropped tail."""
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
-    kvals, a = _series_matrix(k, trunc, n, grid, node_ceiling)
-    c = fredholm_coefficients(a, m_max)
+    sup_k, a = _series_matrix(k, trunc, n, grid, node_ceiling)
+    c = fredholm_coefficients(a.core, m_max)
     lam = complex(lam)
     powers = (-lam) ** np.arange(m_max + 1)
     value = complex(np.sum(powers * c))
-    sup_k = float(np.max(np.abs(kvals)))
     tail = _hadamard_tail(lam, sup_k, 2.0 * trunc.tau(n), m_max)
     return DetResult(value=value, path="series", terms_used=m_max, tail_bound=tail)
 
@@ -173,7 +193,7 @@ def minor_series(
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
     _, a = _series_matrix(k, trunc, n, grid, node_ceiling)
-    c = fredholm_coefficients(a, m_max)
+    c = fredholm_coefficients(a.core, m_max)
     x = grid.nodes
     w = grid.weights
     lam = complex(lam)
@@ -187,7 +207,7 @@ def minor_series(
     total = b_scalar
     for m in range(1, m_max + 1):
         b_scalar = c[m] * k_st - complex(row_w @ b_col)
-        b_col = c[m] * col - a @ b_col
+        b_col = c[m] * col - a.matvec(b_col)
         total += (-lam) ** m * b_scalar
     return complex(total)
 
@@ -202,35 +222,46 @@ def shifted_identity(a: np.ndarray, lam: complex) -> np.ndarray:
     return out
 
 
+def _shifted_lu(a: np.ndarray, lam: complex):
+    """Pivoted LU factors of I - lambda*A.  On a small core, floating point
+    can reach a characteristic value exactly; the zero pivot that leaves is
+    det = 0, not a singular-matrix warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(shifted_identity(a, lam), overwrite_a=True)
+
+
 def det_matrix(m: NystromMatrix, lam: complex) -> DetResult:
-    """det(I - lambda*A) by pivoted LU factorization."""
-    lu, piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
-    return DetResult(value=det_from_lu(lu, piv), path="matrix", terms_used=0)
+    """det(I - lambda*A) = det(I - lambda*core) by pivoted LU factorization."""
+    return DetResult(value=det_from_lu(*_shifted_lu(m.core, lam)), path="matrix", terms_used=0)
 
 
 def _newton_refine(a: np.ndarray, seed: complex, budget: int):
     """Newton iteration on det(I - lambda*A), with the logarithmic derivative
     d/dlambda log det = -tr((I - lambda*A)^{-1} A).  Returns None for seeds
-    that escape (zero-free determinants send the iterate to infinity), and
-    the last iterate when `budget` steps end before the step test is met."""
+    that escape (zero-free determinants send the iterate to infinity), an
+    iterate whose LU has an exactly zero pivot (det = 0 there), and the last
+    iterate when `budget` steps end before the step test is met."""
     lam = complex(seed)
-    for _ in range(budget):
-        if abs(lam) > 1e9:
-            return None
-        try:
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore")
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for _ in range(budget):
+            if abs(lam) > 1e9:
+                return None
+            try:
                 lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True)
+                if not lu_piv[0].diagonal().all():
+                    return lam
                 resolvent_a = lu_solve(lu_piv, a)
-        except Exception:
-            return None
-        tr = complex(np.trace(resolvent_a))
-        if not np.isfinite(tr.real) or not np.isfinite(tr.imag) or tr == 0:
-            return None
-        step = 1.0 / tr
-        lam = lam + step
-        if abs(step) <= 1e-12 * (1.0 + abs(lam)):
-            return lam
+            except ValueError:  # a non-finite I - lambda*A
+                return None
+            tr = complex(np.trace(resolvent_a))
+            if not np.isfinite(tr.real) or not np.isfinite(tr.imag) or tr == 0:
+                return None
+            step = 1.0 / tr
+            lam = lam + step
+            if abs(step) <= 1e-12 * (1.0 + abs(lam)):
+                return lam
     return lam
 
 
@@ -246,7 +277,7 @@ def char_scan(
 ) -> CharScanResult:
     """Locate determinant zeros in region = (re0, re1, im0, im1).
 
-    Each eigenvalue mu of the Nystrom matrix gives a candidate 1/mu; those
+    Each eigenvalue mu of the Nystrom matrix's core gives a candidate 1/mu; those
     inside the region (widened by dedup_tol) are polished by Newton.  Polished
     roots that escape, leave the region or have |det| above tolerance are
     discarded (a root still moving after POLISH_STEPS, as at a multiple zero,
@@ -261,7 +292,7 @@ def char_scan(
         raise ValueError("region must satisfy re0 <= re1 and im0 <= im1")
     if density <= 0:
         raise ValueError("density must be > 0")
-    a = nystrom_matrix(k, trunc, n, variant, grid).entries
+    a = nystrom_matrix(k, trunc, n, variant, grid).core
     margin = 1e-9 + dedup_tol
 
     def inside(z):
@@ -273,8 +304,7 @@ def char_scan(
         root = _newton_refine(a, cand, POLISH_STEPS)
         if root is None or not inside(root):
             continue
-        lu, piv = lu_factor(shifted_identity(a, root), overwrite_a=True)
-        dval = det_from_lu(lu, piv)
+        dval = det_from_lu(*_shifted_lu(a, root))
         if abs(dval) >= 1e-8 * (1.0 + abs(root)):
             continue
         if all(abs(root - z) > dedup_tol for z in zeros):

@@ -201,40 +201,61 @@ def _basis_matrix(fns, x):
     return out
 
 
+def _separable_factors(k, s, t):
+    """(U(s) diag(c), V(t)): the basis matrices of a separable sum over the
+    flattened points, so that K(s_i, t_j) = sum_l (U diag(c))[i,l] V[j,l]."""
+    coeffs = np.array([complex(c) for c, _, _ in k.terms], dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    left = _basis_matrix([left for _, left, _ in k.terms], s) * coeffs
+    return left, _basis_matrix([right for _, _, right in k.terms], t)
+
+
 def _eval_separable(k, s, t):
     """sum_j c_j left_j(s) right_j(t), as the product (U(s) diag(c)) V(t)^T
     when every axis of the broadcast varies in at most one of s and t (grids,
     scalar x vector), so those call patterns round alike; else elementwise."""
-    coeffs = np.array([complex(c) for c, _, _ in k.terms], dtype=complex)
-    if not coeffs.imag.any():
-        coeffs = coeffs.real
-    lefts = [left for _, left, _ in k.terms]
-    rights = [right for _, _, right in k.terms]
     shape = np.broadcast_shapes(s.shape, t.shape)
     d = len(shape)
     ps = (1,) * (d - s.ndim) + s.shape
     pt = (1,) * (d - t.ndim) + t.shape
     if all(a == 1 or b == 1 for a, b in zip(ps, pt)):
-        prod = (_basis_matrix(lefts, s) * coeffs) @ _basis_matrix(rights, t).T
+        u, v = _separable_factors(k, s, t)
+        prod = u @ v.T
         # Interleave the axes of s and t; one of each pair has length 1.
         order = [i for pair in zip(range(d), range(d, 2 * d)) for i in pair]
         return prod.reshape(ps + pt).transpose(order).reshape(shape)
-    u = _basis_matrix(lefts, np.broadcast_to(s, shape)) * coeffs
-    v = _basis_matrix(rights, np.broadcast_to(t, shape))
+    u, v = _separable_factors(k, np.broadcast_to(s, shape), np.broadcast_to(t, shape))
     return np.einsum("ij,ij->i", u, v).reshape(shape)
+
+
+def _table_axis(k):
+    return np.linspace(-k.table_radius, k.table_radius, k.table_values.shape[0])
 
 
 def _eval_tabulated(k, s, t):
     from scipy.interpolate import RegularGridInterpolator
 
-    npts = k.table_values.shape[0]
-    axis = np.linspace(-k.table_radius, k.table_radius, npts)
+    axis = _table_axis(k)
     interp = RegularGridInterpolator(
         (axis, axis), k.table_values, method="linear", bounds_error=False, fill_value=0.0
     )
     ss, tt = np.broadcast_arrays(s, t)
     pts = np.stack([ss.ravel(), tt.ravel()], axis=-1)
     return interp(pts).reshape(ss.shape)
+
+
+def _hat_matrix(axis, x):
+    """phi_j(x_i) for the hat functions phi_j of the axis (zero outside it),
+    as an (x.size, axis.size) array: linear interpolation of a tabulated
+    function is Phi(x) @ values."""
+    out = np.zeros((x.size, axis.size))
+    rows = np.flatnonzero((x >= axis[0]) & (x <= axis[-1]))
+    j = np.clip(np.searchsorted(axis, x[rows], side="right") - 1, 0, axis.size - 2)
+    frac = (x[rows] - axis[j]) / (axis[j + 1] - axis[j])
+    out[rows, j] = 1.0 - frac
+    out[rows, j + 1] = frac
+    return out
 
 
 def carleman_norm(k: KernelSpec, s: float, disc, side: str = "row") -> float:
@@ -250,18 +271,53 @@ def carleman_norm(k: KernelSpec, s: float, disc, side: str = "row") -> float:
     return float(np.sqrt(np.sum(disc.weights * np.abs(vals) ** 2).real))
 
 
-def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, s, t):
-    """Truncated kernel: "plain" masks the first variable by chi_n, "tilde"
-    masks both.  Equals eval_kernel inside the mask, zero outside."""
+def _check_subkernel(n: int, variant: str) -> None:
     if n < 1:
         raise ValueError("subkernel index n must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
+def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, s, t):
+    """Truncated kernel: "plain" masks the first variable by chi_n, "tilde"
+    masks both.  Equals eval_kernel inside the mask, zero outside."""
+    _check_subkernel(n, variant)
     out = np.asarray(eval_kernel(k, s, t))
     out *= trunc.chi(n, s)
     if variant == "tilde":
         out *= trunc.chi(n, t)
     return out.item() if out.ndim == 0 else out
+
+
+def subkernel_factored(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
+    """The truncated kernel on the product grid x by x and its exact factors:
+    (vals, (left, right)) with vals[i,j] = K_variant(x_i, x_j) = sum_l
+    left[i,l] right[j,l] up to rounding, or (vals, None) for a kernel with
+    no finite-rank form (the Gaussian/Cauchy family).
+
+    vals equals subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :])
+    bit for bit.  A separable sum takes both from one basis evaluation:
+    left = chi_n U(x) diag(c) and right = V(x), times chi_n for "tilde", with
+    rank the number of terms.  A table is bilinear in hat functions Phi, so
+    left = chi_n Phi(x) T and right = Phi(x), with rank the table size.
+    """
+    _check_subkernel(n, variant)
+    x = np.asarray(x, dtype=float)
+    if k.family == GAUSS_CAUCHY:
+        return np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :])), None
+    chi = trunc.chi(n, x)[:, None]
+    if k.family == SEPARABLE_SUM:
+        left, right = _separable_factors(k, x, x)
+        vals = left @ right.T  # the product route of eval_kernel
+        if not chi.all():  # a factor 1 changes no bit
+            vals *= chi
+            if variant == "tilde":
+                vals *= chi.T
+    else:
+        vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
+        right = _hat_matrix(_table_axis(k), x)
+        left = right @ k.table_values
+    return vals, (left * chi, right * chi if variant == "tilde" else right)
 
 
 def iterant_eval(k: KernelSpec, m: int, s: float, t: float, disc) -> complex:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
+from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_factored
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -52,11 +53,28 @@ class Discretization:
 
 @dataclass(frozen=True, eq=False)
 class NystromMatrix:
-    """Dense collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j."""
+    """Collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j.
+
+    When the kernel has exact factors of rank r < N (`subkernel_factored`),
+    u (N x r) and vt (r x N) hold them and A = u @ vt up to rounding; `core`
+    is then the r x r matrix vt @ u.  By Sylvester's identity det(I - lambda A)
+    = det(I - lambda core), tr(A^k) = tr(core^k), and A and core share their
+    nonzero eigenvalues.  Otherwise u and vt are None and `core` is `entries`.
+    """
 
     entries: np.ndarray
     variant: str
     grid: Discretization
+    u: np.ndarray | None = None
+    vt: np.ndarray | None = None
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        return self.entries if self.u is None else self.vt @ self.u
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """A @ b, as u @ (vt @ b) when A is factored."""
+        return self.entries @ b if self.u is None else self.u @ (self.vt @ b)
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
@@ -122,15 +140,25 @@ def nystrom_matrix(
 ) -> NystromMatrix:
     """Collocation matrix of the truncated kernel on the grid.  The grid must
     cover (-tau_n, tau_n); a wider grid (built for a larger index) is fine,
-    the mask then zeroes the out-of-interval rows/columns."""
+    the mask then zeroes the out-of-interval rows/columns.  A separable or
+    tabulated kernel of rank below the node count gives a factored matrix."""
     if grid.radius + 1e-12 < trunc.tau(n):
         raise ValueError(
             f"grid radius {grid.radius:.6g} does not cover tau_n={trunc.tau(n):.6g}"
         )
-    x = grid.nodes
-    vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
-    vals *= grid.weights
-    return NystromMatrix(entries=vals, variant=variant, grid=grid)
+    return _assemble(*subkernel_factored(k, trunc, n, variant, grid.nodes), variant, grid)
+
+
+def _assemble(vals, factors, variant: str, grid: Discretization) -> NystromMatrix:
+    """The Nystrom matrix from `subkernel_factored` on the grid's nodes; vals
+    is scaled by the weights in place.  The factors are kept iff their rank
+    is below the node count."""
+    w = grid.weights
+    vals *= w
+    if factors is None or factors[0].shape[1] >= len(w):
+        return NystromMatrix(entries=vals, variant=variant, grid=grid)
+    left, right = factors
+    return NystromMatrix(entries=vals, variant=variant, grid=grid, u=left, vt=(right * w[:, None]).T)
 
 
 def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:

@@ -33,6 +33,9 @@ PROBE_SHIFTS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 class ResolventHandle:
     """Factorized resolvent of a truncated kernel at a regular lambda.
 
+    lu holds the LU factors of (I - lambda*A)^T, so a solve with
+    I - lambda*A itself is the transposed LU solve.
+
     det_scale = 1 is the genuine resolvent; other values emulate a perturbed
     determinant in the minor/det quotient (negative-control diagnostics only).
     """
@@ -60,7 +63,8 @@ class ResolventHandle:
 
     def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """(I - lambda*A)^{-1} rhs (trans=1: transposed), in the factor's own arithmetic."""
-        return _apply_linear(lambda b: lu_solve(self.lu, b, trans=trans), rhs, np.isrealobj(self.lu[0]))
+        return _apply_linear(lambda b: lu_solve(self.lu, b, trans=1 - trans), rhs,
+                             np.isrealobj(self.lu[0]))
 
     def columns_at(self, t) -> np.ndarray:
         """Resolvent kernel at (nodes, t): the solution of the second-kind
@@ -109,7 +113,7 @@ class ResolventHandle:
         g = np.asarray(g, dtype=complex)
         if self.variant == "tilde":
             g = g * self.trunc.chi(self.n, self.grid.nodes)
-        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b), g,
+        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b, trans=1), g,
                           np.isrealobj(self.lu[0]))
         return u / self.det_scale
 
@@ -144,11 +148,13 @@ def _factor(
     k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, m: NystromMatrix, variant: str
 ) -> ResolventHandle:
     """The handle of `make_resolvent` for a given plain Nystrom matrix m of
-    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda."""
+    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda.
+    For C-ordered A, (I - lambda*A)^T is formed in Fortran order without a
+    transposing copy and factored in place; det(M^T) = det(M)."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
-    lu_piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
+    lu_piv = lu_factor(shifted_identity(m.entries.T, lam), overwrite_a=True)
     det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
     if is_characteristic(det.value, lam):
         raise CharacteristicValueError(lam, det.value)
