@@ -23,8 +23,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import BudgetExceededError
-from .kernels import KernelSpec, TruncationScheme, subkernel_eval, subkernel_factored
-from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, _assemble, nystrom_matrix
+from .kernels import KernelSpec, TruncationScheme, subkernel_eval
+from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, _with_factors, nystrom_matrix
 
 # Highest series order det_series and minor_series evaluate.
 M_MAX = 8
@@ -145,9 +145,10 @@ def _series_matrix(k, trunc, n, grid, node_ceiling):
         raise BudgetExceededError(
             f"grid has {len(grid.nodes)} nodes, exceeding the ceiling {node_ceiling}"
         )
-    kvals, factors = subkernel_factored(k, trunc, n, "plain", grid.nodes)
-    sup_k = float(np.max(np.abs(kvals)))
-    return sup_k, _assemble(kvals, factors, "plain", grid)
+    x = grid.nodes
+    kvals = np.asarray(subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :]))
+    a = NystromMatrix(entries=kvals * grid.weights[None, :], variant="plain", grid=grid)
+    return float(np.max(np.abs(kvals))), _with_factors(a, k, trunc, n)
 
 
 def det_series(

@@ -229,33 +229,17 @@ def _eval_separable(k, s, t):
     return np.einsum("ij,ij->i", u, v).reshape(shape)
 
 
-def _table_axis(k):
-    return np.linspace(-k.table_radius, k.table_radius, k.table_values.shape[0])
-
-
 def _eval_tabulated(k, s, t):
     from scipy.interpolate import RegularGridInterpolator
 
-    axis = _table_axis(k)
+    npts = k.table_values.shape[0]
+    axis = np.linspace(-k.table_radius, k.table_radius, npts)
     interp = RegularGridInterpolator(
         (axis, axis), k.table_values, method="linear", bounds_error=False, fill_value=0.0
     )
     ss, tt = np.broadcast_arrays(s, t)
     pts = np.stack([ss.ravel(), tt.ravel()], axis=-1)
     return interp(pts).reshape(ss.shape)
-
-
-def _hat_matrix(axis, x):
-    """phi_j(x_i) for the hat functions phi_j of the axis (zero outside it),
-    as an (x.size, axis.size) array: linear interpolation of a tabulated
-    function is Phi(x) @ values."""
-    out = np.zeros((x.size, axis.size))
-    rows = np.flatnonzero((x >= axis[0]) & (x <= axis[-1]))
-    j = np.clip(np.searchsorted(axis, x[rows], side="right") - 1, 0, axis.size - 2)
-    frac = (x[rows] - axis[j]) / (axis[j + 1] - axis[j])
-    out[rows, j] = 1.0 - frac
-    out[rows, j + 1] = frac
-    return out
 
 
 def carleman_norm(k: KernelSpec, s: float, disc, side: str = "row") -> float:
@@ -271,17 +255,13 @@ def carleman_norm(k: KernelSpec, s: float, disc, side: str = "row") -> float:
     return float(np.sqrt(np.sum(disc.weights * np.abs(vals) ** 2).real))
 
 
-def _check_subkernel(n: int, variant: str) -> None:
+def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, s, t):
+    """Truncated kernel: "plain" masks the first variable by chi_n, "tilde"
+    masks both.  Equals eval_kernel inside the mask, zero outside."""
     if n < 1:
         raise ValueError("subkernel index n must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, s, t):
-    """Truncated kernel: "plain" masks the first variable by chi_n, "tilde"
-    masks both.  Equals eval_kernel inside the mask, zero outside."""
-    _check_subkernel(n, variant)
     out = np.asarray(eval_kernel(k, s, t))
     out *= trunc.chi(n, s)
     if variant == "tilde":
@@ -289,35 +269,18 @@ def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
     return out.item() if out.ndim == 0 else out
 
 
-def subkernel_factored(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
-    """The truncated kernel on the product grid x by x and its exact factors:
-    (vals, (left, right)) with vals[i,j] = K_variant(x_i, x_j) = sum_l
-    left[i,l] right[j,l] up to rounding, or (vals, None) for a kernel with
-    no finite-rank form (the Gaussian/Cauchy family).
-
-    vals equals subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :])
-    bit for bit.  A separable sum takes both from one basis evaluation:
-    left = chi_n U(x) diag(c) and right = V(x), times chi_n for "tilde", with
-    rank the number of terms.  A table is bilinear in hat functions Phi, so
-    left = chi_n Phi(x) T and right = Phi(x), with rank the table size.
-    """
-    _check_subkernel(n, variant)
+def subkernel_factors(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
+    """Exact factors (left, right) of the truncated kernel on the product grid
+    x by x, K_variant(x_i, x_j) = sum_l left[i,l] right[j,l] up to rounding,
+    or None for a kernel sampled without them (gauss_cauchy, tables).  For a
+    separable sum, left = chi_n U(x) diag(c) and right = V(x), times chi_n for
+    "tilde"; the rank is the number of terms."""
+    if k.family != SEPARABLE_SUM:
+        return None
     x = np.asarray(x, dtype=float)
-    if k.family == GAUSS_CAUCHY:
-        return np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :])), None
     chi = trunc.chi(n, x)[:, None]
-    if k.family == SEPARABLE_SUM:
-        left, right = _separable_factors(k, x, x)
-        vals = left @ right.T  # the product route of eval_kernel
-        if not chi.all():  # a factor 1 changes no bit
-            vals *= chi
-            if variant == "tilde":
-                vals *= chi.T
-    else:
-        vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
-        right = _hat_matrix(_table_axis(k), x)
-        left = right @ k.table_values
-    return vals, (left * chi, right * chi if variant == "tilde" else right)
+    left, right = _separable_factors(k, x, x)
+    return left * chi, (right * chi if variant == "tilde" else right)
 
 
 def iterant_eval(k: KernelSpec, m: int, s: float, t: float, disc) -> complex:

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_factored
+from .kernels import (VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval,
+                      subkernel_factors)
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -55,7 +56,7 @@ class Discretization:
 class NystromMatrix:
     """Collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j.
 
-    When the kernel has exact factors of rank r < N (`subkernel_factored`),
+    When the kernel has exact factors of rank r < N (`subkernel_factors`),
     u (N x r) and vt (r x N) hold them and A = u @ vt up to rounding; `core`
     is then the r x r matrix vt @ u.  By Sylvester's identity det(I - lambda A)
     = det(I - lambda core), tr(A^k) = tr(core^k), and A and core share their
@@ -140,25 +141,34 @@ def nystrom_matrix(
 ) -> NystromMatrix:
     """Collocation matrix of the truncated kernel on the grid.  The grid must
     cover (-tau_n, tau_n); a wider grid (built for a larger index) is fine,
-    the mask then zeroes the out-of-interval rows/columns.  A separable or
-    tabulated kernel of rank below the node count gives a factored matrix."""
+    the mask then zeroes the out-of-interval rows/columns.  A separable
+    kernel of rank below the node count gives a factored matrix."""
+    return _with_factors(dense_nystrom_matrix(k, trunc, n, variant, grid), k, trunc, n)
+
+
+def dense_nystrom_matrix(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
+                         grid: Discretization) -> NystromMatrix:
+    """`nystrom_matrix` without the factors, for callers that read only the
+    entries (the resolvent handle)."""
     if grid.radius + 1e-12 < trunc.tau(n):
         raise ValueError(
             f"grid radius {grid.radius:.6g} does not cover tau_n={trunc.tau(n):.6g}"
         )
-    return _assemble(*subkernel_factored(k, trunc, n, variant, grid.nodes), variant, grid)
+    x = grid.nodes
+    vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
+    vals *= grid.weights
+    return NystromMatrix(entries=vals, variant=variant, grid=grid)
 
 
-def _assemble(vals, factors, variant: str, grid: Discretization) -> NystromMatrix:
-    """The Nystrom matrix from `subkernel_factored` on the grid's nodes; vals
-    is scaled by the weights in place.  The factors are kept iff their rank
-    is below the node count."""
-    w = grid.weights
-    vals *= w
+def _with_factors(m: NystromMatrix, k: KernelSpec, trunc: TruncationScheme, n: int) -> NystromMatrix:
+    """m with the kernel's exact factors attached iff their rank is below
+    the node count."""
+    w = m.grid.weights
+    factors = subkernel_factors(k, trunc, n, m.variant, m.grid.nodes)
     if factors is None or factors[0].shape[1] >= len(w):
-        return NystromMatrix(entries=vals, variant=variant, grid=grid)
+        return m
     left, right = factors
-    return NystromMatrix(entries=vals, variant=variant, grid=grid, u=left, vt=(right * w[:, None]).T)
+    return replace(m, u=left, vt=(right * w[:, None]).T)
 
 
 def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:

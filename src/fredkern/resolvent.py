@@ -22,8 +22,8 @@ from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subker
 from .quadrature import (
     Discretization,
     NystromMatrix,
+    dense_nystrom_matrix,
     matrix_norm_estimate,
-    nystrom_matrix,
 )
 
 PROBE_SHIFTS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
@@ -32,9 +32,6 @@ PROBE_SHIFTS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 @dataclass(frozen=True, eq=False)
 class ResolventHandle:
     """Factorized resolvent of a truncated kernel at a regular lambda.
-
-    lu holds the LU factors of (I - lambda*A)^T, so a solve with
-    I - lambda*A itself is the transposed LU solve.
 
     det_scale = 1 is the genuine resolvent; other values emulate a perturbed
     determinant in the minor/det quotient (negative-control diagnostics only).
@@ -63,8 +60,7 @@ class ResolventHandle:
 
     def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """(I - lambda*A)^{-1} rhs (trans=1: transposed), in the factor's own arithmetic."""
-        return _apply_linear(lambda b: lu_solve(self.lu, b, trans=1 - trans), rhs,
-                             np.isrealobj(self.lu[0]))
+        return _apply_linear(lambda b: lu_solve(self.lu, b, trans=trans), rhs, np.isrealobj(self.lu[0]))
 
     def columns_at(self, t) -> np.ndarray:
         """Resolvent kernel at (nodes, t): the solution of the second-kind
@@ -113,7 +109,7 @@ class ResolventHandle:
         g = np.asarray(g, dtype=complex)
         if self.variant == "tilde":
             g = g * self.trunc.chi(self.n, self.grid.nodes)
-        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b, trans=1), g,
+        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b), g,
                           np.isrealobj(self.lu[0]))
         return u / self.det_scale
 
@@ -141,20 +137,18 @@ def _variant_entries(h: ResolventHandle) -> np.ndarray:
 def make_resolvent(k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, grid: Discretization,
                    variant: str = "plain") -> ResolventHandle:
     """Build a resolvent handle; lambda must not be numerically characteristic."""
-    return _factor(k, trunc, n, lam, nystrom_matrix(k, trunc, n, "plain", grid), variant)
+    return _factor(k, trunc, n, lam, dense_nystrom_matrix(k, trunc, n, "plain", grid), variant)
 
 
 def _factor(
     k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, m: NystromMatrix, variant: str
 ) -> ResolventHandle:
     """The handle of `make_resolvent` for a given plain Nystrom matrix m of
-    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda.
-    For C-ordered A, (I - lambda*A)^T is formed in Fortran order without a
-    transposing copy and factored in place; det(M^T) = det(M)."""
+    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
-    lu_piv = lu_factor(shifted_identity(m.entries.T, lam), overwrite_a=True)
+    lu_piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
     det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
     if is_characteristic(det.value, lam):
         raise CharacteristicValueError(lam, det.value)
