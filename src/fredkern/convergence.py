@@ -18,16 +18,18 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CharacteristicValueError, ConfigError, PoleError
-from .kernels import KernelSpec, TruncationScheme, eval_kernel
+from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel
 from .quadrature import (
     Discretization,
     NystromMatrix,
+    _low_rank_factors,
     _tail_norms,
+    factored_norm_estimate,
     matrix_norm_estimate,
     run_grid,
     top_singular_value,
 )
-from .resolvent import _check_disk, _factor, _neumann_sum
+from .resolvent import _check_disk, _factor, _neumann_sums, _shifted_factor
 
 REFERENCES = ("neumann_disk", "largest_n")
 
@@ -95,74 +97,50 @@ class _RunSampling:
     """The one kernel sampling of a convergence call.
 
     The run grid spans (-R, R), R = max(tail radius, max tau_n), with panel
-    edges at +-tau_n for every n of the call.  K is sampled once on z x z,
-    where z is the evaluation nodes e followed by the run-grid nodes x; every
-    per-n matrix, reference block and norm is a restriction of that sampling.
+    edges at +-tau_n for every n of the call.  z is the evaluation nodes e
+    followed by the run-grid nodes x, and the nodes |x| < tau_n are the
+    contiguous range `spans[n]` of x.  A subclass samples K on z once and
+    gives, from that sampling, the full kernel's norm estimate, the Neumann
+    reference and each truncated resolvent on (z, e) and on (e, x).
     """
 
-    def __init__(self, k, trunc, n_list, eval_grid, panels_per_unit, order):
-        if not n_list:
-            raise ValueError("n_list must be non-empty")
-        taus = [trunc.tau(n) for n in n_list]
+    def __init__(self, k, trunc, n_list, e, grid):
         self.k, self.trunc, self.n_list = k, trunc, n_list
-        self.e, self.ne = eval_grid.nodes, len(eval_grid.nodes)
-        self.grid = run_grid(max(k.tail_radius(), max(taus)), taus, panels_per_unit, order)
-        self.z = np.concatenate([self.e, self.grid.nodes])
-        self.kz = eval_kernel(k, self.z[:, None], self.z[None, :])
-        # K(z, x) W; its x rows are the full-kernel collocation matrix A.
-        self.rows_w = self.kz[:, self.ne:] * self.grid.weights
-        # Per n: the plain Nystrom matrix of K_n, which is the principal block
-        # of A on the nodes |x| < tau_n, and the slice of z holding those nodes.
-        self.blocks = {}
-        for n, tau in zip(n_list, taus):
-            i0, i1 = np.searchsorted(self.grid.nodes, [-tau, tau])
-            inner = slice(self.ne + i0, self.ne + i1)
-            a_n = NystromMatrix(self.rows_w[inner, i0:i1], "plain", self.grid.inside(tau))
-            self.blocks[n] = (a_n, inner)
+        self.e, self.ne, self.grid = e, len(e), grid
+        self.z = np.concatenate([e, grid.nodes])
+        self.spans = {}
+        for n in n_list:
+            i0, i1 = np.searchsorted(grid.nodes, [-trunc.tau(n), trunc.tau(n)])
+            self.spans[n] = slice(i0, i1)
 
-    @functools.cached_property
-    def norm(self) -> float:
-        """Operator norm estimate of the full kernel on the run grid."""
-        return matrix_norm_estimate(self.rows_w[self.ne:], self.grid.weights)
+    def diagnose(self, lam, schedule, reference, variant, n_terms, series=None) -> ConvergenceReport:
+        """`resolvent_convergence_diagnostic` on this sampling; `series` is
+        the Neumann reference at lam when the caller already has it."""
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
-    def series(self, lam, n_terms):
-        """The Neumann reference on (z, e) and on (e, x)."""
-        kz, ne, a = self.kz, self.ne, self.rows_w[self.ne:]
-        return (_neumann_sum(lam, self.rows_w, a, kz[ne:, :ne], kz[:, :ne], n_terms),
-                _neumann_sum(lam, self.rows_w[:ne], a, kz[ne:, ne:], kz[:ne, ne:], n_terms))
-
-    def evaluate(self, h):
-        """The handle's resolvent kernel on (z, e) and on (e, x)."""
-        kz, ne, inner, x = self.kz, self.ne, self.blocks[h.n][1], self.grid.nodes
-        chi = self.trunc.chi(h.n, self.z)[:, None]
-        return (h._extend(kz[:, inner] * chi, kz[inner, :ne], kz[:, :ne] * chi, self.e),
-                h._extend(kz[:ne, inner] * chi[:ne], kz[inner, ne:], kz[:ne, ne:] * chi[:ne], x))
-
-    def diagnose(self, lam, schedule, reference, variant, n_terms) -> ConvergenceReport:
-        """`resolvent_convergence_diagnostic` on this sampling."""
-
-        def handle(n):
-            lam_n = lambda_shift(lam, schedule, n)
-            return _factor(self.k, self.trunc, n, lam_n, self.blocks[n][0], variant)
+        def resolvent_at(n):
+            return self.resolvent(n, lambda_shift(lam, schedule, n), variant)
 
         reference_n = None
         failed = set()
         if reference == "neumann_disk":
-            _check_disk(lam, self.norm)
-            ref = self.series(lam, n_terms)
+            if series is None:
+                _check_disk(lam, self.norm)
+                series = self.series([lam], n_terms)[0]
+            ref = series
         else:
             # Fall back to the largest regular index when the shifted lambda is
             # numerically characteristic at the top of the list.
             for reference_n in reversed(self.n_list):
                 try:
-                    h_ref = handle(reference_n)
+                    ref = resolvent_at(reference_n)
                     break
                 except CharacteristicValueError as err:
                     failed.add(reference_n)
                     last_err = err
             else:
                 raise last_err
-            ref = self.evaluate(h_ref)
         # The (z, e) values stack the (e, e) and (x, e) blocks.
         ref_t, ref_cols = np.split(ref[0], [self.ne])
         wy = self.grid.weights
@@ -170,14 +148,16 @@ class _RunSampling:
         used, skipped = [], []
         sup_t, sup_row, sup_col = [], [], []
         for n in self.n_list:
-            try:
-                h = None if n == reference_n or n in failed else handle(n)
-            except CharacteristicValueError:
-                failed.add(n)
+            if n == reference_n:
+                on_ze, on_ex = ref
+            elif n not in failed:
+                try:
+                    on_ze, on_ex = resolvent_at(n)
+                except CharacteristicValueError:
+                    failed.add(n)
             if n in failed:
                 skipped.append(n)
                 continue
-            on_ze, on_ex = ref if h is None else self.evaluate(h)
             used.append(n)
             h_t, h_cols = np.split(on_ze, [self.ne])
             sup_t.append(float(np.max(np.abs(h_t - ref_t))))
@@ -185,6 +165,106 @@ class _RunSampling:
             sup_col.append(_row_col_distances(h_cols, ref_cols, wy, axis=0))
         return ConvergenceReport(lam, tuple(used), tuple(sup_t), tuple(sup_row), tuple(sup_col),
                                  reference, skipped=tuple(skipped), reference_n=reference_n)
+
+
+class _DenseRun(_RunSampling):
+    """K sampled on z x z; every per-n matrix, reference block and norm is a
+    restriction of that sampling."""
+
+    def __init__(self, k, trunc, n_list, e, grid):
+        super().__init__(k, trunc, n_list, e, grid)
+        self.kz = eval_kernel(k, self.z[:, None], self.z[None, :])
+        # K(z, x) W; its x rows are the full-kernel collocation matrix A.
+        self.rows_w = self.kz[:, self.ne:] * grid.weights
+        # Per n: the plain Nystrom matrix of K_n, the principal block of A on
+        # the nodes of spans[n].
+        self.blocks = {}
+        for n, span in self.spans.items():
+            inner = slice(self.ne + span.start, self.ne + span.stop)
+            self.blocks[n] = NystromMatrix(self.rows_w[inner, span], "plain",
+                                           grid.inside(self.trunc.tau(n)))
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Operator norm estimate of the full kernel on the run grid."""
+        return matrix_norm_estimate(self.rows_w[self.ne:], self.grid.weights)
+
+    def series(self, lams, n_terms):
+        """The Neumann reference on (z, e) and on (e, x), for each lambda."""
+        kz, ne, a = self.kz, self.ne, self.rows_w[self.ne:]
+        on_ze = _neumann_sums(lams, self.rows_w, a, kz[ne:, :ne], kz[:, :ne], n_terms)
+        on_ex = _neumann_sums(lams, self.rows_w[:ne], a, kz[ne:, ne:], kz[:ne, ne:], n_terms)
+        return list(zip(on_ze, on_ex))
+
+    def resolvent(self, n, lam_n, variant):
+        """The resolvent kernel of K_n at lam_n on (z, e) and on (e, x)."""
+        h = _factor(self.k, self.trunc, n, lam_n, self.blocks[n], variant)
+        kz, ne, x = self.kz, self.ne, self.grid.nodes
+        inner = slice(ne + self.spans[n].start, ne + self.spans[n].stop)
+        chi = self.trunc.chi(n, self.z)[:, None]
+        return (h._extend(kz[:, inner] * chi, kz[inner, :ne], kz[:, :ne] * chi, self.e),
+                h._extend(kz[:ne, inner] * chi[:ne], kz[inner, ne:], kz[:ne, ne:] * chi[:ne], x))
+
+
+class _FactoredRun(_RunSampling):
+    """K(s,t) = L(s) R(t)^T sampled as its factors on z (z x r each), for a
+    kernel of rank r below the run grid's node count.  With the r x r cores
+    G = sum_x w_x R(x)^T L(x), over the whole run grid or over spans[n]:
+
+    - the resolvent of K_n at lam is chi_n(s) L(s) (I - lam G_n)^{-1} R(t)^T,
+      times chi_n(t) for "tilde", and det(I - lam A_n) = det(I - lam G_n);
+    - the Neumann reference is L(s) [sum_{j < n_terms} (lam G)^j] R(t)^T;
+    - the norm estimate applies A = L(x) (R(x)^T W) through its factors.
+    """
+
+    def __init__(self, k, trunc, n_list, e, grid, factors):
+        super().__init__(k, trunc, n_list, e, grid)
+        self.left, self.right = factors
+        self.right_w = self.right[self.ne:] * grid.weights[:, None]  # W R(x)
+        self.core = self.right_w.T @ self.left[self.ne:]
+        self.cores = {n: self.right_w[span].T @ self.left[self.ne:][span]
+                      for n, span in self.spans.items()}
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Operator norm estimate of the full kernel on the run grid."""
+        return factored_norm_estimate(self.left[self.ne:], self.right_w.T, self.grid.weights)
+
+    def series(self, lams, n_terms):
+        """The Neumann reference on (z, e) and on (e, x), for each lambda."""
+        left, g, ne = self.left, self.core, self.ne
+        right_e, right_x = self.right[:ne].T, self.right[ne:].T
+        on_ze = _neumann_sums(lams, left, g, g @ right_e, left @ right_e, n_terms)
+        on_ex = _neumann_sums(lams, left[:ne], g, g @ right_x, left[:ne] @ right_x, n_terms)
+        return list(zip(on_ze, on_ex))
+
+    def resolvent(self, n, lam_n, variant):
+        """The resolvent kernel of K_n at lam_n on (z, e) and on (e, x)."""
+        g = self.cores[n]
+        lu_piv, _ = _shifted_factor(g, lam_n)
+        chi = self.trunc.chi(n, self.z)
+        rows = (self.left * chi[:, None]) @ lu_solve(lu_piv, np.eye(len(g)))
+        on_ze = rows @ self.right[:self.ne].T
+        on_ex = rows[:self.ne] @ self.right[self.ne:].T
+        if variant == "tilde":
+            on_ze *= chi[:self.ne]
+            on_ex *= chi[self.ne:]
+        return on_ze, on_ex
+
+
+def _sample_run(k, trunc, n_list, eval_grid, panels_per_unit, order) -> _RunSampling:
+    """The sampling of a convergence call over the sorted indices n_list:
+    factored when the kernel has exact factors of rank below the run grid's
+    node count (`quadrature._low_rank_factors`), else dense."""
+    if not n_list:
+        raise ValueError("n_list must be non-empty")
+    taus = [trunc.tau(n) for n in n_list]
+    grid = run_grid(max(k.tail_radius(), max(taus)), taus, panels_per_unit, order)
+    e = eval_grid.nodes
+    factors = _low_rank_factors(k, np.concatenate([e, grid.nodes]), len(grid.nodes))
+    if factors is None:
+        return _DenseRun(k, trunc, n_list, e, grid)
+    return _FactoredRun(k, trunc, n_list, e, grid, factors)
 
 
 def resolvent_convergence_diagnostic(
@@ -209,7 +289,7 @@ def resolvent_convergence_diagnostic(
     """
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}")
-    run = _RunSampling(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
+    run = _sample_run(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
     return run.diagnose(complex(lam), schedule, reference, variant, n_terms)
 
 
@@ -298,13 +378,17 @@ def compact_sweep(
     is numerically characteristic are skipped and reported.
     """
     schedule = ShiftSchedule("zero")
-    run = _RunSampling(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
+    run = _sample_run(k, trunc, sorted(int(n) for n in n_list), eval_grid, panels_per_unit, order)
+    lambdas = [complex(lam) for lam in lambda_samples]
+    # One norm picks each lambda's reference and guards the series; the
+    # lambdas inside the disk share one Neumann chain.
+    in_disk = [lam for lam in lambdas if abs(lam) * run.norm < 1.0]
+    series = dict(zip(in_disk, run.series(in_disk, n_terms))) if in_disk else {}
     reports, kept, skipped = [], [], []
-    for lam in map(complex, lambda_samples):
-        # One norm picks the reference and guards the series.
-        reference = "neumann_disk" if abs(lam) * run.norm < 1.0 else "largest_n"
+    for lam in lambdas:
+        reference = "neumann_disk" if lam in series else "largest_n"
         try:
-            rep = run.diagnose(lam, schedule, reference, variant, n_terms)
+            rep = run.diagnose(lam, schedule, reference, variant, n_terms, series.get(lam))
         except CharacteristicValueError:
             rep = None
         if rep is None or rep.skipped:

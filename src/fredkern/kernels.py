@@ -269,17 +269,24 @@ def subkernel_eval(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
     return out.item() if out.ndim == 0 else out
 
 
-def subkernel_factors(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
-    """Exact factors (left, right) of the truncated kernel on the product grid
-    x by x, K_variant(x_i, x_j) = sum_l left[i,l] right[j,l] up to rounding,
-    or None for a kernel sampled without them (gauss_cauchy, tables).  For a
-    separable sum, left = chi_n U(x) diag(c) and right = V(x), times chi_n for
-    "tilde"; the rank is the number of terms."""
+def kernel_factors(k: KernelSpec, s, t):
+    """Exact factors (left, right) of the kernel on the product grid s by t,
+    K(s_i, t_j) = sum_l left[i,l] right[j,l] up to rounding, or None for a
+    kernel sampled without them (gauss_cauchy, tables).  For a separable sum,
+    left = U(s) diag(c) and right = V(t); the rank is the number of terms."""
     if k.family != SEPARABLE_SUM:
         return None
-    x = np.asarray(x, dtype=float)
+    return _separable_factors(k, np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+
+
+def subkernel_factors(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
+    """`kernel_factors` of the truncated kernel on x by x: left is masked by
+    chi_n, and right too for "tilde"."""
+    factors = kernel_factors(k, x, x)
+    if factors is None:
+        return None
     chi = trunc.chi(n, x)[:, None]
-    left, right = _separable_factors(k, x, x)
+    left, right = factors
     return left * chi, (right * chi if variant == "tilde" else right)
 
 

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import (VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval,
-                      subkernel_factors)
+from .kernels import (VARIANTS, KernelSpec, TruncationScheme, eval_kernel, kernel_factors,
+                      subkernel_eval, subkernel_factors)
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -171,6 +171,14 @@ def _with_factors(m: NystromMatrix, k: KernelSpec, trunc: TruncationScheme, n: i
     return replace(m, u=left, vt=(right * w[:, None]).T)
 
 
+def _low_rank_factors(k: KernelSpec, z: np.ndarray, n_nodes: int):
+    """`kernel_factors` of K on z x z when their rank is below n_nodes, the
+    node count of the grid they discretize (the rule of `nystrom_matrix`);
+    else None, and K is sampled densely."""
+    factors = kernel_factors(k, z, z)
+    return factors if factors is not None and factors[0].shape[1] < n_nodes else None
+
+
 def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
     """Collocation matrix of the untruncated kernel (no mask)."""
     x = grid.nodes
@@ -182,11 +190,14 @@ def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
 def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float = 1e-12) -> float:
     """Largest singular value by power iteration on the normal operator.
 
-    apply/apply_h map vectors through B and B^H.  Starts from the all-ones
-    vector and stops after `iters` rounds or when the estimate's relative
-    change drops below `rtol`.  Deterministic.
+    apply/apply_h map vectors through B and B^H.  Starts from the ramp
+    v_i = 1 + i/dim and stops after `iters` rounds or when the estimate's
+    relative change drops below `rtol`.  Deterministic.  On a grid symmetric
+    about 0 the ramp has an even and an odd part, so it is orthogonal to
+    neither kind of singular vector; all-ones, orthogonal to every odd one,
+    missed the norm of a kernel whose top singular function is odd.
     """
-    v = np.ones(dim)  # real, so a real operator iterates in real arithmetic
+    v = 1.0 + np.arange(dim) / dim  # real, so a real operator iterates in real arithmetic
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
@@ -227,9 +238,20 @@ def matrix_norm_estimate(entries: np.ndarray, weights: np.ndarray) -> float:
     return _largest_singular_value(_weighted_form(entries, weights, weights))
 
 
-def _largest_singular_value(b: np.ndarray) -> float:
-    bh = b.conj().T
-    return top_singular_value(lambda v: b @ v, lambda u: bh @ u, b.shape[1])
+def factored_norm_estimate(u: np.ndarray, vt: np.ndarray, weights: np.ndarray) -> float:
+    """`matrix_norm_estimate` of the collocation matrix u @ vt (N x r times
+    r x N), applied through its factors at O(N r) per step."""
+    sw = np.sqrt(weights)
+    return _largest_singular_value(sw[:, None] * u, vt / sw)
+
+
+def _largest_singular_value(p: np.ndarray, qt: np.ndarray | None = None) -> float:
+    """Top singular value of B = p, or of B = p @ qt applied as p (qt v)."""
+    ph = p.conj().T
+    if qt is None:
+        return top_singular_value(lambda v: p @ v, lambda u: ph @ u, p.shape[1])
+    q = qt.conj().T
+    return top_singular_value(lambda v: p @ (qt @ v), lambda u: q @ (ph @ u), qt.shape[1])
 
 
 def tail_norm(k: KernelSpec, trunc: TruncationScheme, n: int, m: int, grid_outer: Discretization,
@@ -249,7 +271,11 @@ def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
 
     The composite kernel (1 - chi_n(s)) sum_y K(s,y) w_y [A_n^{m-1} K](y,t)
     takes s from the grid nodes with |s| > tau_n and y from those inside, a
-    contiguous range; for "tilde" it is masked by chi_n(t) as well.
+    contiguous range; for "tilde" it is masked by chi_n(t) as well.  When the
+    kernel has exact factors K(s,t) = L(s) R(t)^T of rank r below the node
+    count (`_low_rank_factors`), the composite is L(s) G_n^m R(t)^T with the
+    r x r core G_n = sum_y w_y R(y)^T L(y) over the inner nodes, and its norm
+    is estimated through those factors.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
@@ -262,20 +288,30 @@ def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
             f"grid_outer radius {radius:.6g} must exceed tau_n={max(taus):.6g} to cover the tail")
     grid = run_grid(radius, taus, grid_outer.panels_per_unit, grid_outer.order)
     x, w = grid.nodes, grid.weights
-    kx = eval_kernel(k, x[:, None], x[None, :])
+    factors = _low_rank_factors(k, x, len(x))
+    kx = eval_kernel(k, x[:, None], x[None, :]) if factors is None else None
     norms = []
     for n, tau in zip(n_list, taus):
         i0, i1 = np.searchsorted(x, [-tau, tau])
-        wy = w[i0:i1]
-        cols = kx[i0:i1]
-        for _ in range(m - 1):
-            cols = (kx[i0:i1, i0:i1] * wy) @ cols
-        if variant == "tilde":
-            cols = cols * trunc.chi(n, x)[None, :]
-        outer = np.concatenate([kx[:i0, i0:i1], kx[i1:, i0:i1]])
-        outer *= wy
-        composite = outer @ cols
-        composite *= w
         w_out = np.concatenate([w[:i0], w[i1:]])
-        norms.append(_largest_singular_value(_weighted_form(composite, w_out, w)))
+        if factors is not None:
+            left, right = factors
+            core = (right[i0:i1] * w[i0:i1, None]).T @ left[i0:i1]
+            outer = np.concatenate([left[:i0], left[i1:]]) @ np.linalg.matrix_power(core, m)
+            cols_t = right * np.sqrt(w)[:, None]
+            if variant == "tilde":
+                cols_t *= trunc.chi(n, x)[:, None]
+            norms.append(_largest_singular_value(np.sqrt(w_out)[:, None] * outer, cols_t.T))
+        else:
+            wy = w[i0:i1]
+            cols = kx[i0:i1]
+            for _ in range(m - 1):
+                cols = (kx[i0:i1, i0:i1] * wy) @ cols
+            if variant == "tilde":
+                cols = cols * trunc.chi(n, x)[None, :]
+            outer = np.concatenate([kx[:i0, i0:i1], kx[i1:, i0:i1]])
+            outer *= wy
+            composite = outer @ cols
+            composite *= w
+            norms.append(_largest_singular_value(_weighted_form(composite, w_out, w)))
     return norms

@@ -11,10 +11,14 @@ cross-validation.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import CharacteristicValueError, NeumannDivergenceError
 from .fredholm import DetResult, det_from_lu, is_characteristic, shifted_identity
@@ -148,11 +152,22 @@ def _factor(
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
-    lu_piv = lu_factor(shifted_identity(m.entries, lam), overwrite_a=True)
-    det = DetResult(value=det_from_lu(*lu_piv), path="matrix", terms_used=0)
-    if is_characteristic(det.value, lam):
-        raise CharacteristicValueError(lam, det.value)
+    lu_piv, value = _shifted_factor(m.entries, lam)
+    det = DetResult(value=value, path="matrix", terms_used=0)
     return ResolventHandle(kernel=k, trunc=trunc, n=n, lam=lam, det=det, matrix=m, lu=lu_piv, variant=variant)
+
+
+def _shifted_factor(a: np.ndarray, lam: complex):
+    """LU factors of I - lambda*a and det(I - lambda*a), refusing a
+    numerically characteristic lambda.  An exactly zero pivot, which a small
+    core can reach, is det = 0 and raises no singular-matrix warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True)
+    det = det_from_lu(*lu_piv)
+    if is_characteristic(det, lam):
+        raise CharacteristicValueError(lam, det)
+    return lu_piv, det
 
 
 def resolvent_eval(h: ResolventHandle, s: float, t: float) -> complex:
@@ -317,20 +332,58 @@ def neumann_kernel_matrix(k: KernelSpec, lam: complex, s_pts, t_pts, disc: Discr
     rows_w = eval_kernel(k, s_arr[:, None], x[None, :])
     rows_w *= disc.weights
     cols = eval_kernel(k, x[:, None], t_arr[None, :])
-    return _neumann_sum(lam, rows_w, _matrix, cols, eval_kernel(k, s_arr[:, None], t_arr[None, :]), n_terms)
+    direct = eval_kernel(k, s_arr[:, None], t_arr[None, :])
+    return _neumann_sums([lam], rows_w, _matrix, cols, direct, n_terms)[0]
 
 
-def _neumann_sum(lam, rows_w, a, cols, direct, n_terms: int) -> np.ndarray:
-    """The series of `neumann_kernel_matrix` from its samples: rows_w =
-    K(s,x) W, a = K(x,x) W, cols = K(x,t) and direct = K(s,t)."""
-    lam = complex(lam)
+def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int) -> list:
+    """The series of `neumann_kernel_matrix` from its samples, rows_w =
+    K(s,x) W, a = K(x,x) W, cols = K(x,t) and direct = K(s,t), for each
+    lambda of lams.  One lambda-independent chain serves every lambda, each
+    with its own accumulator.
+
+    The chain is rescaled by exact powers of two (`_rescaled`) and their
+    exponent is folded into the coefficient lambda^j (`_scaled_power`), so a
+    chain A^i C that grows or decays past the float range while |lambda|
+    ||T|| < 1 neither overflows nor underflows.  Where the coefficient lam**j
+    is a normal float, each term rounds exactly as the unscaled product."""
+    lams = [complex(lam) for lam in lams]
     total = np.asarray(direct, dtype=complex)
     if n_terms == 1:
-        return total
+        return [total] * len(lams)
     row_side = len(rows_w) <= cols.shape[1]
-    chain = rows_w if row_side else cols
-    acc = lam * chain
+    chain, exponent = _rescaled(rows_w if row_side else cols)
+    accs = [_scaled_power(lam, 1, exponent) * chain for lam in lams]
     for j in range(2, n_terms):
-        chain = chain @ a if row_side else a @ chain
-        acc += lam**j * chain
-    return total + (acc @ cols if row_side else rows_w @ acc)
+        chain, shift = _rescaled(chain @ a if row_side else a @ chain)
+        exponent += shift
+        for lam, acc in zip(lams, accs):
+            acc += _scaled_power(lam, j, exponent) * chain
+    return [total + (acc @ cols if row_side else rows_w @ acc) for acc in accs]
+
+
+def _rescaled(x: np.ndarray):
+    """(x 2^-e, e) with e the binary exponent of max|x| when that leaves
+    [2^-64, 2^64], else (x, 0).  The range lies far inside the float range,
+    so one more step of a chain cannot carry it past either end."""
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    if abs(e) <= 64:
+        return x, 0
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
+    return np.ldexp(x, -e), e
+
+
+def _scaled_power(lam: complex, j: int, e: int) -> complex:
+    """lambda^j 2^e.  When lam**j is a normal float this is lam**j scaled
+    exactly by 2^e; past the float range of lam**j it is formed through
+    logarithms."""
+    if lam == 0:
+        return 0j
+    try:
+        p = lam**j if j > 1 else lam
+    except OverflowError:
+        p = complex(math.inf)
+    if cmath.isfinite(p) and max(abs(p.real), abs(p.imag)) >= sys.float_info.min:
+        return complex(math.ldexp(p.real, e), math.ldexp(p.imag, e))
+    return cmath.exp(j * cmath.log(lam) + e * math.log(2.0))

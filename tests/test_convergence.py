@@ -1,10 +1,11 @@
 """Shifted-sequence diagnostics, boundedness probes, and tail conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fredkern as fk
@@ -324,7 +325,7 @@ def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkey
     # The three series reference blocks come from two sums over the one
     # kernel sampling: (e u y) x e, split by rows, and e x y.  They match one
     # neumann_kernel_matrix call per block on the run grid.
-    series = convergence._neumann_sum
+    series = convergence._neumann_sums
     calls = []
 
     def recording(*args):
@@ -332,7 +333,7 @@ def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkey
         calls.append(out)
         return out
 
-    monkeypatch.setattr(convergence, "_neumann_sum", recording)
+    monkeypatch.setattr(convergence, "_neumann_sums", recording)
     lam = 0.25 + 0.15j
     egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
     fk.resolvent_convergence_diagnostic(
@@ -340,7 +341,7 @@ def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkey
         panels_per_unit=2,
     )
     assert len(calls) == 2
-    stacked, ref_rows = calls
+    [stacked], [ref_rows] = calls
     disc = fk.quadrature.run_grid(gcauchy.tail_radius(), [trunc.tau(4), trunc.tau(6)], 2, 8)
     e, y = egrid.nodes, disc.nodes
     blocks = ((stacked[: len(e)], e, e), (stacked[len(e):], y, e), (ref_rows, e, y))
@@ -416,3 +417,173 @@ def test_diagnostic_column_distances_spectral(gcauchy, trunc):
     fine = col_diffs(16)
     for ppu in (3, 5):
         assert np.max(np.abs(col_diffs(ppu) / fine - 1.0)) <= 1e-10
+
+
+# Separable kernels: the convergence calls on the r x r cores of the factors.
+
+GAUSS_BASIS = st.builds(fk.BasisFn, st.sampled_from(["gauss", "x_gauss"]),
+                        st.floats(0.7, 1.6), st.floats(-2.0, 2.0))
+UNIT_COEFF = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+
+
+def hs_norm(k):
+    """Hilbert-Schmidt norm of the kernel, an upper bound of ||T||."""
+    grid = fk.grid_on_interval(-14.0, 14.0, 1, 8)
+    x, w = grid.nodes, grid.weights
+    return math.sqrt(float(np.sum(np.abs(fk.eval_kernel(k, x[:, None], x[None, :])) ** 2 * np.outer(w, w))))
+
+
+def is_regular(k, trunc, lams, n_list):
+    """|1 - lambda_n mu| >= 0.1 for every eigenvalue mu of each A_n."""
+    for n in n_list:
+        core = fk.nystrom_matrix(k, trunc, n, "plain", fk.build_grid(trunc, n, 1, 8)).core
+        if np.min(np.abs(1.0 - lams[n] * np.linalg.eigvals(core))) < 0.1:
+            return False
+    return True
+
+
+def withheld_factors(monkeypatch):
+    """Sample every kernel densely, as for a kernel without factors."""
+    monkeypatch.setattr(fk.quadrature, "kernel_factors", lambda *args: None)
+
+
+def assert_close_sequences(got, want):
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-12 * np.max(w, initial=0.0) + 1e-15), (g, w)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(st.tuples(UNIT_COEFF, GAUSS_BASIS, GAUSS_BASIS), min_size=1, max_size=6),
+    variant=st.sampled_from(("plain", "tilde")),
+    kind=st.sampled_from(("zero", "harmonic")),
+    reference=st.sampled_from(convergence.REFERENCES),
+    phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    sizes=st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9), st.floats(1.2, 2.5)),
+    m=st.integers(1, 2),
+)
+def test_factored_convergence_matches_dense(terms, variant, kind, reference, phases, sizes, m):
+    k = fk.KernelSpec("separable_sum", tuple(terms))
+    trunc = fk.TruncationScheme()
+    n_list = [2, 4, 6]
+    hs = hs_norm(k)
+    # |lambda| ||T|| <= 0.9 for the first two, so they lie in the series disk.
+    lams = [size / hs * complex(math.cos(p), math.sin(p)) for size, p in zip(sizes, phases)]
+    sched = fk.ShiftSchedule(kind, 0.1 / abs(lams[0]) if kind == "harmonic" else 0.0)
+    assume(is_regular(k, trunc, {n: fk.lambda_shift(lams[0], sched, n) for n in n_list}, n_list))
+    assume(is_regular(k, trunc, {n: lams[2] for n in n_list}, n_list))
+    egrid = fk.grid_on_interval(-4.0, 4.0, 1, 4)
+    outer = fk.grid_on_interval(-8.0, 8.0, 1, 8)
+
+    def calls():
+        rep = fk.resolvent_convergence_diagnostic(k, trunc, lams[0], sched, n_list, egrid,
+                                                  reference, variant, panels_per_unit=1)
+        sweep = fk.compact_sweep(k, trunc, lams, n_list, egrid, variant, panels_per_unit=1)
+        tail = fk.tail_condition_report(k, trunc, m, n_list, outer, variant)
+        return rep, sweep, tail
+
+    rep, sweep, tail = calls()
+    with pytest.MonkeyPatch.context() as mp:
+        withheld_factors(mp)
+        dense_rep, dense_sweep, dense_tail = calls()
+    assert (rep.n_values, rep.skipped, rep.reference_n) == (
+        dense_rep.n_values, dense_rep.skipped, dense_rep.reference_n)
+    assert_close_sequences((rep.sup_T_diff, rep.sup_row_diff, rep.sup_col_diff),
+                           (dense_rep.sup_T_diff, dense_rep.sup_row_diff, dense_rep.sup_col_diff))
+    assert (sweep.lambdas, sweep.skipped_lambdas) == (dense_sweep.lambdas, dense_sweep.skipped_lambdas)
+    assert_close_sequences((sweep.envelope_T, sweep.envelope_row, sweep.envelope_col),
+                           (dense_sweep.envelope_T, dense_sweep.envelope_row, dense_sweep.envelope_col))
+    # The power iteration stops at a relative change of 1e-12; an odd core
+    # (G_n = 0 up to rounding) leaves norms at the rounding floor.
+    assert all(abs(f - d) <= 1e-10 * d + 1e-15 for f, d in zip(tail, dense_tail)), (tail, dense_tail)
+
+
+@pytest.mark.parametrize("name", ["neumann_disk", "largest_n", "compact_sweep", "tail"])
+def test_separable_kernel_is_never_sampled_square(rank2, trunc, monkeypatch, name):
+    # The factored path samples the kernel's basis functions on the nodes,
+    # never K on a product grid.
+    shapes = record_square_samplings(monkeypatch, 64)
+    _convergence_call(name, rank2, trunc, [2, 3, 4, 5, 6, 8], [0.3, 0.2 + 0.1j, 1.5])
+    assert shapes == []
+
+
+def scaled_gauss(c):
+    return fk.KernelSpec("separable_sum", ((c, fk.BasisFn("gauss"), fk.BasisFn("gauss")),))
+
+
+def scaled_table(c):
+    axis = np.linspace(-4.0, 4.0, 17)
+    values = np.exp(-axis[:, None] ** 2 - axis[None, :] ** 2)
+    return fk.KernelSpec("custom_tabulated", table_radius=4.0, table_values=c * values)
+
+
+@pytest.mark.parametrize("make", [scaled_gauss, scaled_table])
+@pytest.mark.parametrize("c", [1e9, 1e-9])
+def test_neumann_reference_of_scaled_kernel(trunc, make, c):
+    # lambda K is the same operator as at c = 1, while ||A|| is far from 1:
+    # the unscaled chain A^i K overflowed (c = 1e9, NaN distances) or lambda^j
+    # overflowed (c = 1e-9).
+    sched = fk.ShiftSchedule("zero")
+    egrid = fk.grid_on_interval(-4.0, 4.0, 1, 4)
+
+    def seqs(k, lam):
+        rep = fk.resolvent_convergence_diagnostic(k, trunc, lam, sched, [2, 4, 6], egrid,
+                                                  panels_per_unit=2)
+        return np.array([rep.sup_T_diff, rep.sup_row_diff, rep.sup_col_diff])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = seqs(make(c), 0.3 / c) / c
+    want = seqs(make(1.0), 0.3)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(want, axis=1, keepdims=True))
+
+
+def test_long_neumann_series_stays_finite(rank1, trunc):
+    # At 3500 terms ||A||^j overflows and 0.3^j underflows; the tail past 40
+    # terms is below 1e-16.
+    sched = fk.ShiftSchedule("zero")
+
+    def seqs(n_terms):
+        rep = fk.resolvent_convergence_diagnostic(rank1, trunc, 0.3, sched, N_LIST, eval_grid(),
+                                                  n_terms=n_terms)
+        return np.array([rep.sup_T_diff, rep.sup_row_diff, rep.sup_col_diff])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = seqs(3500)
+    want = seqs(40)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(want, axis=1, keepdims=True))
+
+
+def unscaled_neumann_sum(lam, rows_w, a, cols, direct, n_terms):
+    """The series with the chain left unscaled, the reference for inputs
+    whose chain and powers of lambda stay in the float range."""
+    total = np.asarray(direct, dtype=complex)
+    row_side = len(rows_w) <= cols.shape[1]
+    chain = rows_w if row_side else cols
+    acc = lam * chain
+    for j in range(2, n_terms):
+        chain = chain @ a if row_side else a @ chain
+        acc += lam**j * chain
+    return total + (acc @ cols if row_side else rows_w @ acc)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e6])
+def test_neumann_chain_scaling_is_exact(gcauchy, c):
+    # Rescaling by powers of two changes no rounding: one shared chain gives
+    # each lambda's unscaled sum bit for bit, from either side.  At c = 1e6
+    # the chain reaches 1e240 and is rescaled, while lambda^j stays normal.
+    disc = fk.grid_on_interval(-8.0, 8.0, 2, 8)
+    x, s = disc.nodes, np.linspace(-3.0, 3.0, 7)
+    a = c * fk.quadrature.full_matrix(gcauchy, disc)
+    rows_w = fk.eval_kernel(gcauchy, s[:, None], x[None, :]) * disc.weights
+    cols = fk.eval_kernel(gcauchy, x[:, None], s[None, :]) * (1.0 + 0.5j)
+    lams = [complex(0.3 / c), (0.25 - 0.6j) / c]
+    for args in ((rows_w, a, rows_w.T.copy()), (cols.T.copy(), a, cols)):
+        direct = args[0] @ args[2]
+        shared = resolvent._neumann_sums(lams, *args, direct, 40)
+        for lam, got in zip(lams, shared):
+            assert np.array_equal(got, unscaled_neumann_sum(lam, *args, direct, 40))

@@ -99,6 +99,25 @@ def test_operator_norm_odd_rank1(odd, trunc, grid10):
     assert fk.operator_norm_estimate(m) == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("odd_weight", [1.0, 10.0])
+def test_norm_estimates_find_an_odd_top_singular_function(odd, disc8, odd_weight):
+    # On a symmetric grid every odd function is orthogonal to all-ones, the
+    # old start vector: the dense estimate of 0.1 g(s)g(t) + xg(s)xg(t)
+    # stopped at the even singular value 0.1 ||g||^2, and the factored one
+    # of g(s)xg(t) was exactly 0.
+    from fredkern.quadrature import factored_norm_estimate, full_matrix, matrix_norm_estimate
+
+    g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
+    mixed = fk.KernelSpec("separable_sum", ((0.1, g, g), (odd_weight, xg, xg)))
+    x, w = disc8.nodes, disc8.weights
+    cases = ((mixed, max(0.1 * GAUSS_FULL, odd_weight * XGAUSS_FULL)),
+             (odd, math.sqrt(GAUSS_FULL * XGAUSS_FULL)))
+    for k, want in cases:
+        assert matrix_norm_estimate(full_matrix(k, disc8), w) == pytest.approx(want, rel=1e-12)
+        left, right = fk.kernels.kernel_factors(k, x, x)
+        assert factored_norm_estimate(left, (right * w[:, None]).T, w) == pytest.approx(want, rel=1e-12)
+
+
 def test_norm_monotone_under_truncation(rank2, trunc, disc8):
     from fredkern.quadrature import full_matrix, matrix_norm_estimate
 
