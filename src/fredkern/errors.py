@@ -42,7 +42,8 @@ class NeumannDivergenceError(FredkernError):
 
 
 class BudgetExceededError(FredkernError):
-    """A grid or series evaluation would exceed its node-count ceiling."""
+    """A grid or series evaluation would exceed its node-count ceiling, or
+    I - lambda*A the float range."""
 
 
 class PoleError(FredkernError):

@@ -3,7 +3,8 @@ the classical power series (its multi-dimensional integrals evaluated through
 the trace recursion on the collocation matrix) and a direct matrix determinant
 det(I - lambda*A).  Characteristic values are the determinant zeros.  Since
 det(I - lambda*A) is the product of (1 - lambda*mu) over the eigenvalues mu of
-A, they are read off as 1/mu and polished by a few Newton steps.
+A, they are read off as 1/mu, as in Bornemann (Math. Comp. 79, 2010), and
+each is kept if |det| passes the zero test there.
 
 Every route works on the core of the Nystrom matrix: the r x r matrix V^T U
 when A = U V^T has exact factors of rank r < N, else A itself.  Sylvester's
@@ -20,7 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+# lu_solve is unused here; perfbench's tracer rebinds it on this module.
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve  # noqa: F401
 
 from .errors import BudgetExceededError
 from .kernels import KernelSpec, TruncationScheme, subkernel_eval
@@ -31,13 +33,6 @@ M_MAX = 8
 
 # Below this, det is treated as numerically zero and lambda as characteristic.
 NEAR_ZERO_COEFF = 1e-10
-
-# Newton steps that polish one eigenvalue candidate 1/mu.  From there a simple
-# zero meets the 1e-12 step test in two or three.  A multiple zero of a
-# defective matrix is fixed only to about sqrt(eps), so it never meets the step
-# test at any budget; a candidate still moving after this budget is kept only
-# if its |det| passes the zero test.
-POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -138,12 +133,12 @@ def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
     return total
 
 
-def _series_matrix(k, trunc, n, grid, node_ceiling):
+def _series_matrix(k, trunc, n, grid):
     """sup |K_n| over the grid's node pairs and the plain Nystrom matrix of
     K_n, from one sampling."""
-    if len(grid.nodes) > node_ceiling:
+    if len(grid.nodes) > DEFAULT_NODE_CEILING:
         raise BudgetExceededError(
-            f"grid has {len(grid.nodes)} nodes, exceeding the ceiling {node_ceiling}"
+            f"grid has {len(grid.nodes)} nodes, exceeding the ceiling {DEFAULT_NODE_CEILING}"
         )
     x = grid.nodes
     kvals = np.asarray(subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :]))
@@ -158,13 +153,12 @@ def det_series(
     lam: complex,
     grid: Discretization,
     m_max: int,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> DetResult:
     """Partial sum of the determinant series through order m_max, with a
     Hadamard bound on the dropped tail."""
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
-    sup_k, a = _series_matrix(k, trunc, n, grid, node_ceiling)
+    sup_k, a = _series_matrix(k, trunc, n, grid)
     c = fredholm_coefficients(a.core, m_max)
     lam = complex(lam)
     powers = (-lam) ** np.arange(m_max + 1)
@@ -182,7 +176,6 @@ def minor_series(
     t: float,
     grid: Discretization,
     m_max: int,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> complex:
     """Partial sum of the first-minor series at (s, t) through order m_max.
 
@@ -193,7 +186,7 @@ def minor_series(
     """
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
-    _, a = _series_matrix(k, trunc, n, grid, node_ceiling)
+    _, a = _series_matrix(k, trunc, n, grid)
     c = fredholm_coefficients(a.core, m_max)
     x = grid.nodes
     w = grid.weights
@@ -216,9 +209,14 @@ def minor_series(
 def shifted_identity(a: np.ndarray, lam: complex) -> np.ndarray:
     """A new array I - lambda*A, real when A is real and lambda has no
     imaginary part.  It is in Fortran order, so LAPACK factors it in place
-    (lu_factor with overwrite_a=True) instead of copying it first."""
+    (lu_factor with overwrite_a=True) instead of copying it first.  An entry
+    past the float range raises BudgetExceededError, so the array returned is
+    finite and LAPACK need not check it again."""
     lam = complex(lam)
-    out = np.multiply(a, -lam.real if lam.imag == 0 else -lam, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(a, -lam.real if lam.imag == 0 else -lam, order="F")
+    if not np.isfinite(out).all():
+        raise BudgetExceededError(f"I - lambda*A at lambda={lam} has entries beyond the float range")
     out[np.diag_indices_from(out)] += 1.0
     return out
 
@@ -229,41 +227,12 @@ def _shifted_lu(a: np.ndarray, lam: complex):
     det = 0, not a singular-matrix warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(shifted_identity(a, lam), overwrite_a=True)
+        return lu_factor(shifted_identity(a, lam), overwrite_a=True, check_finite=False)
 
 
 def det_matrix(m: NystromMatrix, lam: complex) -> DetResult:
     """det(I - lambda*A) = det(I - lambda*core) by pivoted LU factorization."""
     return DetResult(value=det_from_lu(*_shifted_lu(m.core, lam)), path="matrix", terms_used=0)
-
-
-def _newton_refine(a: np.ndarray, seed: complex, budget: int):
-    """Newton iteration on det(I - lambda*A), with the logarithmic derivative
-    d/dlambda log det = -tr((I - lambda*A)^{-1} A).  Returns None for seeds
-    that escape (zero-free determinants send the iterate to infinity), an
-    iterate whose LU has an exactly zero pivot (det = 0 there), and the last
-    iterate when `budget` steps end before the step test is met."""
-    lam = complex(seed)
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        for _ in range(budget):
-            if abs(lam) > 1e9:
-                return None
-            try:
-                lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True)
-                if not lu_piv[0].diagonal().all():
-                    return lam
-                resolvent_a = lu_solve(lu_piv, a)
-            except ValueError:  # a non-finite I - lambda*A
-                return None
-            tr = complex(np.trace(resolvent_a))
-            if not np.isfinite(tr.real) or not np.isfinite(tr.imag) or tr == 0:
-                return None
-            step = 1.0 / tr
-            lam = lam + step
-            if abs(step) <= 1e-12 * (1.0 + abs(lam)):
-                return lam
-    return lam
 
 
 def char_scan(
@@ -278,11 +247,9 @@ def char_scan(
 ) -> CharScanResult:
     """Locate determinant zeros in region = (re0, re1, im0, im1).
 
-    Each eigenvalue mu of the Nystrom matrix's core gives a candidate 1/mu; those
-    inside the region (widened by dedup_tol) are polished by Newton.  Polished
-    roots that escape, leave the region or have |det| above tolerance are
-    discarded (a root still moving after POLISH_STEPS, as at a multiple zero,
-    is judged by |det| alone), and survivors are deduplicated within
+    Each nonzero eigenvalue mu of the Nystrom matrix's core gives a candidate
+    1/mu.  Those inside the region (widened by dedup_tol) whose |det| passes
+    the zero test, on one LU each, are the zeros, deduplicated within
     dedup_tol.
     `density` must be > 0 and is recorded as grid_density; it no longer
     changes the zero set.  The one-sided and two-sided truncations share
@@ -302,15 +269,10 @@ def char_scan(
     candidates = [1.0 / complex(mu) for mu in np.linalg.eigvals(a) if mu != 0]
     zeros = []
     for cand in sorted(filter(inside, candidates), key=lambda z: (z.real, z.imag)):
-        root = _newton_refine(a, cand, POLISH_STEPS)
-        if root is None or not inside(root):
+        if abs(det_from_lu(*_shifted_lu(a, cand))) >= 1e-8 * (1.0 + abs(cand)):
             continue
-        dval = det_from_lu(*_shifted_lu(a, root))
-        if abs(dval) >= 1e-8 * (1.0 + abs(root)):
-            continue
-        if all(abs(root - z) > dedup_tol for z in zeros):
-            zeros.append(root)
-    zeros.sort(key=lambda z: (z.real, z.imag))
+        if all(abs(cand - z) > dedup_tol for z in zeros):
+            zeros.append(cand)
     return CharScanResult(
         zeros=tuple(zeros),
         search_region=(re0, re1, im0, im1),

@@ -163,7 +163,7 @@ def _shifted_factor(a: np.ndarray, lam: complex):
     core can reach, is det = 0 and raises no singular-matrix warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True)
+        lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True, check_finite=False)
     det = det_from_lu(*lu_piv)
     if is_characteristic(det, lam):
         raise CharacteristicValueError(lam, det)

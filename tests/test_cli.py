@@ -464,6 +464,35 @@ def test_run_node_ceiling_exits_budget(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("E_BUDGET ")
 
 
+SECH_200 = {"kind": "sech", "scale": 200.0, "shift": 0.0}
+TABULATED_1E300 = {"family": "custom_tabulated", "radius": 2.0, "values": [[1e300, 1e300], [1e300, 1e300]]}
+
+
+@pytest.mark.parametrize("command", ["det", "solve", "resolvent", "scan", "converge", "tailnorm"])
+def test_run_sech_past_cosh_overflow_exits_clean(tmp_path, capsys, command):
+    # cosh overflows far out on a steep sech factor; 1/cosh is 0 there and
+    # no warning reaches stderr.
+    kernel = {"family": "separable_sum", "terms": [{"coefficient": 1.0, "left": SECH_200, "right": SECH_200}]}
+    path = write_config(tmp_path, {"kernel": kernel})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command([command, "--config", path, "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["det", "resolvent"])
+def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command):
+    # I - lambda*A overflows for these entries at lambda = 1e10.
+    path = write_config(tmp_path, {"kernel": TABULATED_1E300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command([command, "--config", path, "--lambda", "1e10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_BUDGET ") and err.count("\n") == 1
+
+
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden", "config_rank1")
 GOLDEN_CSV = {"solve": "solution.csv", "resolvent": "resolvent_grid.csv", "scan": "zeros.csv",
               "converge": "convergence.csv", "tailnorm": "tailnorm.csv"}

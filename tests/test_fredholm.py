@@ -141,11 +141,14 @@ def test_minor_quotient_matches_rank2_resolvent(rank2, trunc, grid6):
         assert minor / det == pytest.approx(expected, abs=1e-9)
 
 
-def test_budget_ceiling(rank1, trunc, grid6):
+def test_budget_ceiling(rank1, trunc):
+    # build_grid refuses such a grid, so it is built by hand.
+    nodes = np.linspace(-4.0, 4.0, fk.quadrature.DEFAULT_NODE_CEILING + 1)
+    grid = fk.Discretization(nodes, np.full(len(nodes), 8.0 / len(nodes)), len(nodes), 1, -4.0, 4.0, 1)
     with pytest.raises(fk.BudgetExceededError):
-        fk.det_series(rank1, trunc, 6, 0.3, grid6, 4, node_ceiling=8)
+        fk.det_series(rank1, trunc, 6, 0.3, grid, 4)
     with pytest.raises(fk.BudgetExceededError):
-        fk.minor_series(rank1, trunc, 6, 0.3, 0.0, 0.0, grid6, 4, node_ceiling=8)
+        fk.minor_series(rank1, trunc, 6, 0.3, 0.0, 0.0, grid, 4)
 
 
 def test_fredholm_coefficients_match_power_traces():
@@ -273,16 +276,73 @@ def test_near_zero_threshold():
     assert not fk.is_characteristic(5e-9, 10.0)
 
 
-def test_char_scan_keeps_double_zero(trunc):
-    # K = g x g + 4 xg x xg + 0.3 g x xg has a 2x2 Jordan block at
-    # 1/sqrt(pi/2).  Newton fixes a double zero only to about sqrt(eps), so
-    # its polish stalls; the last iterate is kept because |det| passes.
+def jordan_kernel():
+    """K = g x g + 4 xg x xg + 0.3 g x xg: a 2x2 Jordan block at 1/sqrt(pi/2)."""
     g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
-    k = fk.KernelSpec("separable_sum", ((1.0, g, g), (4.0, xg, xg), (0.3, g, xg)))
+    return fk.KernelSpec("separable_sum", ((1.0, g, g), (4.0, xg, xg), (0.3, g, xg)))
+
+
+def test_char_scan_keeps_double_zero(trunc):
+    # eigvals resolves the double eigenvalue of the Jordan block only to about
+    # sqrt(eps); the candidate 1/mu is kept because |det| passes there.
+    k = jordan_kernel()
     grid = fk.build_grid(trunc, 6, 2, 8)
     zeros = fk.char_scan(k, trunc, 6, (0.0, 2.0, -0.5, 0.5), 1.0, grid).zeros
     assert len(zeros) == 1
     assert abs(zeros[0] - 1.0 / math.sqrt(math.pi / 2.0)) <= 1e-6
+
+
+def random_separable(rng, rank):
+    kinds = ("gauss", "x_gauss", "sech")
+    basis = [fk.BasisFn(kinds[rng.integers(3)], rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+             for _ in range(2 * rank)]
+    coeffs = 2.0 * (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
+    return fk.KernelSpec("separable_sum", tuple(zip(coeffs, basis[:rank], basis[rank:])))
+
+
+def scan_cases():
+    rng = np.random.default_rng(7)
+    cases = [(random_separable(rng, r), (-8.0, 8.0, -8.0, 8.0)) for r in (1, 2, 3, 4)]
+    cases.append((fk.gauss_cauchy(), (0.0, 8.0, -1.0, 1.0)))
+    cases.append((jordan_kernel(), (0.0, 2.0, -0.5, 0.5)))
+    return cases
+
+
+def test_char_scan_zeros_are_exact_reciprocal_eigenvalues(trunc):
+    # No polish: each zero is 1/mu for an eigenvalue mu of the core, to the bit.
+    grid = scan_grid(trunc)
+    assert len(grid.nodes) == 128
+    for k, region in scan_cases():
+        zeros = fk.char_scan(k, trunc, 6, region, 1.0, grid).zeros
+        assert zeros
+        mu = np.linalg.eigvals(fk.nystrom_matrix(k, trunc, 6, "plain", grid).core)
+        reciprocals = {1.0 / complex(m) for m in mu if m != 0}
+        assert set(zeros) <= reciprocals
+
+
+def test_char_scan_factors_once_per_candidate(trunc, monkeypatch):
+    grid = scan_grid(trunc)
+    calls = []
+    factor = fk.fredholm.lu_factor
+    monkeypatch.setattr(fk.fredholm, "lu_factor", lambda *a, **kw: calls.append(1) or factor(*a, **kw))
+    margin = 1e-9 + 1e-6
+    for k, (re0, re1, im0, im1) in scan_cases():
+        mu = np.linalg.eigvals(fk.nystrom_matrix(k, trunc, 6, "plain", grid).core)
+        inside = [z for z in (1.0 / complex(m) for m in mu if m != 0)
+                  if re0 - margin <= z.real <= re1 + margin and im0 - margin <= z.imag <= im1 + margin]
+        calls.clear()
+        fk.char_scan(k, trunc, 6, (re0, re1, im0, im1), 1.0, grid)
+        assert len(calls) == len(inside) > 0
+
+
+def test_shifted_identity_refuses_entries_beyond_float_range():
+    a = np.full((3, 3), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e10, 1e10j):
+            with pytest.raises(fk.BudgetExceededError):
+                shifted_identity(a, lam)
+        assert np.isfinite(shifted_identity(a, 1e-10)).all()
 
 
 def test_shifted_identity_real_exactly_when_matrix_and_lambda_real():
