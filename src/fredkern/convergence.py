@@ -23,6 +23,7 @@ from .quadrature import (
     Discretization,
     NystromMatrix,
     _low_rank_factors,
+    _sampled_factors,
     _tail_norms,
     factored_norm_estimate,
     matrix_norm_estimate,
@@ -189,12 +190,30 @@ class _DenseRun(_RunSampling):
         """Operator norm estimate of the full kernel on the run grid."""
         return matrix_norm_estimate(self.rows_w[self.ne:], self.grid.weights)
 
+    @functools.cached_property
+    def reference_factors(self):
+        """`_sampled_factors` of A, built with the first Neumann reference."""
+        return _sampled_factors(self.rows_w[self.ne:])
+
     def series(self, lams, n_terms):
-        """The Neumann reference on (z, e) and on (e, x), for each lambda."""
-        kz, ne, a = self.kz, self.ne, self.rows_w[self.ne:]
-        on_ze = _neumann_sums(lams, self.rows_w, a, kz[ne:, :ne], kz[:, :ne], n_terms)
-        on_ex = _neumann_sums(lams, self.rows_w[:ne], a, kz[ne:, ne:], kz[:ne, ne:], n_terms)
-        return list(zip(on_ze, on_ex))
+        """The Neumann reference on (z, e) and on (e, x), for each lambda.
+
+        The terms j = 0, 1 come straight from the samples.  When A has a
+        checked factor U V^T (`reference_factors`), the terms j >= 2 run on
+        the r x r core V^T U (`_neumann_sums` with head); else on A."""
+        kz, ne, rows_w = self.kz, self.ne, self.rows_w
+        # (K(s,x) W, K(x,t), K(s,t)) of the (z, e) and the (e, x) blocks.
+        blocks = ((rows_w, kz[ne:, :ne], kz[:, :ne]), (rows_w[:ne], kz[ne:, ne:], kz[:ne, ne:]))
+        factors = self.reference_factors if n_terms > 2 else None
+        if factors is None:
+            a = rows_w[ne:]
+            sums = [_neumann_sums(lams, rows, a, cols, direct, n_terms) for rows, cols, direct in blocks]
+        else:
+            u, vt = factors
+            g = vt @ u
+            sums = [_neumann_sums(lams, rows @ u, g, vt @ cols, direct, n_terms, head=rows @ cols)
+                    for rows, cols, direct in blocks]
+        return list(zip(*sums))
 
     def resolvent(self, n, lam_n, variant):
         """The resolvent kernel of K_n at lam_n on (z, e) and on (e, x)."""

@@ -43,7 +43,7 @@ class NeumannDivergenceError(FredkernError):
 
 class BudgetExceededError(FredkernError):
     """A grid or series evaluation would exceed its node-count ceiling, or
-    I - lambda*A the float range."""
+    I - lambda*A or a tail norm the float range."""
 
 
 class PoleError(FredkernError):

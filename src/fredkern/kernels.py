@@ -97,11 +97,6 @@ class KernelSpec:
             # A real table keeps the kernel real.
             object.__setattr__(self, "table_values", vals if vals.imag.any() else vals.real.copy())
 
-    @property
-    def is_oracle_backed(self) -> bool:
-        """Tabulated kernels are interpolated and excluded from exact oracles."""
-        return self.family != CUSTOM_TABULATED
-
     def tail_radius(self) -> float:
         """Radius beyond which the kernel tail is below the double-precision
         floor (~1e-14); whole-line integrals are truncated here.
@@ -156,10 +151,6 @@ class TruncationScheme:
     def chi(self, n: int, x):
         """Indicator of the open interval (-tau_n, tau_n), vectorized."""
         return (np.abs(np.asarray(x, dtype=float)) < self.tau(n)).astype(float)
-
-    def project(self, n: int, nodes, values):
-        """P_n applied to a sampled function: zero outside (-tau_n, tau_n)."""
-        return self.chi(n, nodes) * np.asarray(values)
 
 
 def eval_kernel(k: KernelSpec, s, t):

@@ -179,6 +179,36 @@ def _low_rank_factors(k: KernelSpec, z: np.ndarray, n_nodes: int):
     return factors if factors is not None and factors[0].shape[1] < n_nodes else None
 
 
+# `_sampled_factors`: the first probe count, doubled after each failed check,
+# and the bound on max|A - U V^T| relative to max|A|.
+FACTOR_PROBES = 48
+FACTOR_RTOL = 1e-14
+
+
+def _sampled_factors(a: np.ndarray):
+    """Factors (U, V^T) of a sampled N x N matrix a, of rank r < N/2 and
+    with max|a - U V^T| <= FACTOR_RTOL max|a| over every entry; else None.
+
+    A randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53,
+    2011): U is the Q of qr(a Omega) for r Gaussian probes Omega from a fixed
+    seed, and V^T = U^H a.  r starts at FACTOR_PROBES and doubles while the
+    check fails and r < N/2.  The check reads every entry, so an accepted
+    factor meets the bound on a itself, not only with high probability."""
+    n = len(a)
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if not math.isfinite(scale):
+        return None
+    rng = np.random.default_rng(0)
+    r = FACTOR_PROBES
+    while 2 * r < n:
+        u = np.linalg.qr(a @ rng.standard_normal((n, r)))[0]
+        vt = u.conj().T @ a
+        if np.max(np.abs(a - u @ vt)) <= FACTOR_RTOL * scale:
+            return u, vt
+        r *= 2
+    return None
+
+
 def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
     """Collocation matrix of the untruncated kernel (no mask)."""
     x = grid.nodes
@@ -187,6 +217,7 @@ def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
     return vals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float = 1e-12) -> float:
     """Largest singular value by power iteration on the normal operator.
 
@@ -196,6 +227,7 @@ def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float =
     about 0 the ramp has an even and an odd part, so it is orthogonal to
     neither kind of singular vector; all-ones, orthogonal to every odd one,
     missed the norm of a kernel whose top singular function is odd.
+    An iterate that leaves the float range gives inf, without a warning.
     """
     v = 1.0 + np.arange(dim) / dim  # real, so a real operator iterates in real arithmetic
     v /= np.linalg.norm(v)
@@ -265,6 +297,7 @@ def tail_norm(k: KernelSpec, trunc: TruncationScheme, n: int, m: int, grid_outer
     return _tail_norms(k, trunc, m, [n], grid_outer, variant)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
     """`tail_norm` for every n of n_list, from one kernel sampling on the
     `run_grid` of (-R, R) with edges at +-tau_n.
@@ -276,6 +309,9 @@ def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
     count (`_low_rank_factors`), the composite is L(s) G_n^m R(t)^T with the
     r x r core G_n = sum_y w_y R(y)^T L(y) over the inner nodes, and its norm
     is estimated through those factors.
+
+    An overflow leaves a norm beyond the float range, which raises
+    BudgetExceededError.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
@@ -314,4 +350,7 @@ def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
             composite = outer @ cols
             composite *= w
             norms.append(_largest_singular_value(_weighted_form(composite, w_out, w)))
+    for n, norm in zip(n_list, norms):
+        if not math.isfinite(norm):
+            raise BudgetExceededError(f"tail norm at n={n} is beyond the float range")
     return norms

@@ -336,11 +336,17 @@ def neumann_kernel_matrix(k: KernelSpec, lam: complex, s_pts, t_pts, disc: Discr
     return _neumann_sums([lam], rows_w, _matrix, cols, direct, n_terms)[0]
 
 
-def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int) -> list:
+def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int, head=None) -> list:
     """The series of `neumann_kernel_matrix` from its samples, rows_w =
     K(s,x) W, a = K(x,x) W, cols = K(x,t) and direct = K(s,t), for each
     lambda of lams.  One lambda-independent chain serves every lambda, each
     with its own accumulator.
+
+    With head = K(s,x) W K(x,t) given, the operands are instead those of a
+    factored collocation matrix K(x,x) W = U V^T: rows_w = K(s,x) W U, a =
+    V^T U and cols = V^T K(x,t).  The term j = 1 is then lambda head, and
+    the term j >= 2 is lambda^j rows_w a^(j-2) cols, a chain on the r x r
+    core.
 
     The chain is rescaled by exact powers of two (`_rescaled`) and their
     exponent is folded into the coefficient lambda^j (`_scaled_power`), so a
@@ -351,15 +357,21 @@ def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int) -> list:
     total = np.asarray(direct, dtype=complex)
     if n_terms == 1:
         return [total] * len(lams)
+    if head is None:
+        first, totals = 1, [total] * len(lams)
+    else:
+        first, totals = 2, [total + lam * head for lam in lams]
+    if n_terms == first:
+        return totals
     row_side = len(rows_w) <= cols.shape[1]
     chain, exponent = _rescaled(rows_w if row_side else cols)
-    accs = [_scaled_power(lam, 1, exponent) * chain for lam in lams]
-    for j in range(2, n_terms):
+    accs = [_scaled_power(lam, first, exponent) * chain for lam in lams]
+    for j in range(first + 1, n_terms):
         chain, shift = _rescaled(chain @ a if row_side else a @ chain)
         exponent += shift
         for lam, acc in zip(lams, accs):
             acc += _scaled_power(lam, j, exponent) * chain
-    return [total + (acc @ cols if row_side else rows_w @ acc) for acc in accs]
+    return [t + (acc @ cols if row_side else rows_w @ acc) for t, acc in zip(totals, accs)]
 
 
 def _rescaled(x: np.ndarray):

@@ -41,6 +41,16 @@ def gauss_tail_l2(radius):
     return math.sqrt(GAUSS_FULL * erfc(radius * math.sqrt(2.0)))
 
 
+def is_oracle_backed(k):
+    """Tabulated kernels are interpolated and excluded from exact oracles."""
+    return k.family != "custom_tabulated"
+
+
+def project(trunc, n, nodes, values):
+    """P_n applied to a sampled function: zero outside (-tau_n, tau_n)."""
+    return trunc.chi(n, nodes) * np.asarray(values)
+
+
 @pytest.fixture
 def rank1():
     return fk.gauss_rank1()

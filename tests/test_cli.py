@@ -493,6 +493,28 @@ def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command):
     assert err.startswith("E_BUDGET ") and err.count("\n") == 1
 
 
+GAUSS_1E200 = {"family": "separable_sum",
+               "terms": [{"coefficient": 1e200, "left": {"kind": "gauss"}, "right": {"kind": "gauss"}}]}
+
+
+@pytest.mark.parametrize("command, code, prefix", [
+    ("tailnorm", 1, "E_BUDGET tail norm at n=2 "),
+    ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 norm=inf"),
+])
+def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code, prefix):
+    # The tail norms are about 1e400 and the operator norm 1e200, so the
+    # power iteration's squared norms overflow: tailnorm refuses its inf
+    # cells, converge reports norm=inf, and no numpy warning reaches stderr.
+    path = write_config(tmp_path, {"kernel": GAUSS_1E200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command([command, "--config", path, "--out", str(tmp_path)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden", "config_rank1")
 GOLDEN_CSV = {"solve": "solution.csv", "resolvent": "resolvent_grid.csv", "scan": "zeros.csv",
               "converge": "convergence.csv", "tailnorm": "tailnorm.csv"}

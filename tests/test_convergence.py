@@ -328,8 +328,8 @@ def test_diagnostic_reference_blocks_match_separate_calls(gcauchy, trunc, monkey
     series = convergence._neumann_sums
     calls = []
 
-    def recording(*args):
-        out = series(*args)
+    def recording(*args, **kwargs):
+        out = series(*args, **kwargs)
         calls.append(out)
         return out
 
@@ -417,6 +417,95 @@ def test_diagnostic_column_distances_spectral(gcauchy, trunc):
     fine = col_diffs(16)
     for ppu in (3, 5):
         assert np.max(np.abs(col_diffs(ppu) / fine - 1.0)) <= 1e-10
+
+
+# Kernels without exact factors: the Neumann reference on a checked factor.
+
+
+def record_neumann_sums(monkeypatch):
+    """Record (args, kwargs, result) of every `_neumann_sums` call."""
+    series = convergence._neumann_sums
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = series(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(convergence, "_neumann_sums", recording)
+    return calls
+
+
+def test_gauss_cauchy_reference_runs_on_a_small_core(gcauchy, trunc, monkeypatch):
+    # Two lambdas, one complex, share each block's chain, which runs on the
+    # r x r core of a checked factor, r < N/2; the blocks match one
+    # neumann_kernel_matrix call per block and lambda on the run grid.
+    calls = record_neumann_sums(monkeypatch)
+    lams = [0.3, 0.2 + 0.15j]
+    egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
+    sweep = fk.compact_sweep(gcauchy, trunc, lams, [4, 6], egrid, "tilde", panels_per_unit=2)
+    assert sweep.lambdas == tuple(lams)
+    disc = fk.quadrature.run_grid(gcauchy.tail_radius(), [trunc.tau(4), trunc.tau(6)], 2, 8)
+    e, y = egrid.nodes, disc.nodes
+    assert len(calls) == 2
+    (ze_args, ze_kwargs, on_ze), (ex_args, ex_kwargs, on_ex) = calls
+    for args, kwargs in ((ze_args, ze_kwargs), (ex_args, ex_kwargs)):
+        core = args[2]
+        assert "head" in kwargs
+        assert core.shape[0] == core.shape[1] and 2 * len(core) < len(y)
+    for lam, stacked, ref_rows in zip(lams, on_ze, on_ex):
+        blocks = ((stacked[: len(e)], e, e), (stacked[len(e):], y, e), (ref_rows, e, y))
+        for block, s_pts, t_pts in blocks:
+            separate = resolvent.neumann_kernel_matrix(gcauchy, lam, s_pts, t_pts, disc, 40)
+            assert block.shape == separate.shape
+            assert np.max(np.abs(block - separate)) <= 1e-14
+
+
+def random_table(size=129):
+    values = np.random.default_rng(7).standard_normal((size, size))
+    return fk.KernelSpec("custom_tabulated", table_radius=4.0, table_values=values)
+
+
+@pytest.mark.parametrize("make, ppu", [(fk.gauss_cauchy, 1), (random_table, 4)])
+def test_rejected_factor_passes_the_dense_operands(trunc, monkeypatch, make, ppu):
+    # gauss_cauchy on 128 nodes needs rank 64, not below N/2; the table's
+    # rank exceeds every probe count below N/2 = 192, so the check fails.
+    # Either way the series gets the operands of the dense reference.
+    k = make()
+    factors = convergence._sampled_factors
+    built = []
+
+    def recording(a):
+        built.append(factors(a))
+        return built[-1]
+
+    monkeypatch.setattr(convergence, "_sampled_factors", recording)
+    calls = record_neumann_sums(monkeypatch)
+    egrid = fk.grid_on_interval(-6.5, 6.5, 1, 4)
+    fk.resolvent_convergence_diagnostic(k, trunc, 1e-3, fk.ShiftSchedule("zero"), [4, 6], egrid,
+                                        panels_per_unit=ppu)
+    assert built == [None]
+    run = convergence._sample_run(k, trunc, [4, 6], egrid, ppu, 8)
+    kz, ne, rows_w = run.kz, run.ne, run.rows_w
+    want = ((rows_w, rows_w[ne:], kz[ne:, :ne], kz[:, :ne]),
+            (rows_w[:ne], rows_w[ne:], kz[ne:, ne:], kz[:ne, ne:]))
+    assert len(calls) == 2
+    for (args, kwargs, _), operands in zip(calls, want):
+        assert kwargs == {}
+        assert all(np.array_equal(got, op) for got, op in zip(args[1:5], operands))
+
+
+def test_largest_n_diagnostic_builds_no_factor(gcauchy, trunc, monkeypatch):
+    built = []
+    monkeypatch.setattr(convergence, "_sampled_factors", lambda a: built.append(a))
+    rep = fk.resolvent_convergence_diagnostic(
+        gcauchy, trunc, 0.6, fk.ShiftSchedule("zero"), [4, 6], eval_grid(), "largest_n",
+        panels_per_unit=2,
+    )
+    assert rep.reference_n == 6
+    sweep = fk.compact_sweep(gcauchy, trunc, [1.5, 2.0j], [4, 6], eval_grid(), panels_per_unit=2)
+    assert sweep.lambdas == (1.5, 2.0j)
+    assert built == []
 
 
 # Separable kernels: the convergence calls on the r x r cores of the factors.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fredkern as fk
-from conftest import GAUSS_FULL, XGAUSS_FULL, gauss_overlap, gauss_tail_l2, record_square_samplings
+from conftest import (GAUSS_FULL, XGAUSS_FULL, gauss_overlap, gauss_tail_l2, project,
+                      record_square_samplings)
 
 
 def test_grid_node_count_and_weight_sum(trunc):
@@ -133,7 +134,7 @@ def test_projection_consistency(trunc, disc8):
     f = np.exp(-((disc8.nodes - 1.0) ** 2))
     norms = []
     for n in range(1, 13):
-        masked = trunc.project(n, disc8.nodes, f) - f
+        masked = project(trunc, n, disc8.nodes, f) - f
         norms.append(math.sqrt(float(np.sum(disc8.weights * np.abs(masked) ** 2))))
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -249,3 +250,16 @@ def test_tail_condition_report_samples_once(gcauchy, trunc, disc8, monkeypatch):
     monkeypatch.undo()
     for n, value in zip([2, 3, 4, 5, 6], seq):
         assert value == pytest.approx(fk.tail_norm(gcauchy, trunc, n, 2, disc8, "tilde"), rel=1e-12)
+
+
+def test_sampled_factors_meet_their_check(gcauchy):
+    # Fixed-seed probes: the same factor on every call, within 1e-14 of the
+    # largest entry everywhere, of rank below N/2, for real and complex entries.
+    a = fk.quadrature.full_matrix(gcauchy, fk.grid_on_interval(-8.0, 8.0, 2, 8))
+    for entries in (a, (1.0 - 2.0j) * a):
+        u, vt = fk.quadrature._sampled_factors(entries)
+        assert 2 * u.shape[1] < len(entries)
+        assert np.max(np.abs(entries - u @ vt)) <= 1e-14 * np.max(np.abs(entries))
+        again = fk.quadrature._sampled_factors(entries)
+        assert np.array_equal(u, again[0]) and np.array_equal(vt, again[1])
+    assert fk.quadrature._sampled_factors(np.full((256, 256), np.inf)) is None
