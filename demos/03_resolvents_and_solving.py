@@ -4,6 +4,8 @@ residuals, second-kind solves, and the series route for the full kernel.
 Run:  python demos/03_resolvents_and_solving.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import fredkern as fk
@@ -33,8 +35,9 @@ print("Residuals of the two defining second-kind equations:")
 egrid = fk.grid_on_interval(-5.0, 5.0, 1, 8)
 r_left, r_right = fk.residual_check(h, egrid)
 print(f"  genuine handle:    left={r_left:.3e}   right={r_right:.3e}")
-r_left, r_right = fk.residual_check(h.with_det_scaled(1.1), egrid)
-print(f"  perturbed (x1.1):  left={r_left:.3e}   right={r_right:.3e}   (negative control)")
+# A stale factor: the handle claims lambda x1.5 but keeps the LU at lambda.
+r_left, r_right = fk.residual_check(replace(h, lam=1.5 * h.lam), egrid)
+print(f"  stale (lambda x1.5): left={r_left:.3e}   right={r_right:.3e}   (negative control)")
 
 print()
 print("=" * 70)

@@ -5,6 +5,7 @@ tail-norm condition, and uniform-in-lambda sweeps for compact operators.
 Distances are discrete stand-ins for the sup norms on R^2 (max over an
 evaluation grid) and for sup-over-anchors of L^2 row/column distances
 (quadrature-weighted norms on the run grid of the call, see `_RunSampling`).
+Tail norms are weighted operator norms on a run grid too.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CharacteristicValueError, ConfigError, PoleError
+from .errors import BudgetExceededError, CharacteristicValueError, ConfigError, PoleError
 from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel
 from .quadrature import (
     Discretization,
     NystromMatrix,
+    _largest_singular_value,
     _low_rank_factors,
     _sampled_factors,
-    _tail_norms,
+    _weighted_form,
     factored_norm_estimate,
     matrix_norm_estimate,
     run_grid,
@@ -102,7 +104,8 @@ class _RunSampling:
     followed by the run-grid nodes x, and the nodes |x| < tau_n are the
     contiguous range `spans[n]` of x.  A subclass samples K on z once and
     gives, from that sampling, the full kernel's norm estimate, the Neumann
-    reference and each truncated resolvent on (z, e) and on (e, x).
+    reference, each truncated resolvent on (z, e) and on (e, x), and the
+    tail norms on the run grid.
     """
 
     def __init__(self, k, trunc, n_list, e, grid):
@@ -167,6 +170,19 @@ class _RunSampling:
         return ConvergenceReport(lam, tuple(used), tuple(sup_t), tuple(sup_row), tuple(sup_col),
                                  reference, skipped=tuple(skipped), reference_n=reference_n)
 
+    def tail_norms(self, m, variant):
+        """`tail_norm` for every n of the call.  The composite kernel
+        (1 - chi_n(s)) sum_y K(s,y) w_y [A_n^{m-1} K](y,t) takes s from the
+        run-grid nodes outside spans[n] and y from those inside; for "tilde"
+        it is masked by chi_n(t) as well.  An overflow leaves a norm beyond
+        the float range, which raises BudgetExceededError."""
+        norms = []
+        for n in self.n_list:
+            norms.append(self.tail_norm(n, m, variant))
+            if not math.isfinite(norms[-1]):
+                raise BudgetExceededError(f"tail norm at n={n} is beyond the float range")
+        return norms
+
 
 class _DenseRun(_RunSampling):
     """K sampled on z x z; every per-n matrix, reference block and norm is a
@@ -175,15 +191,20 @@ class _DenseRun(_RunSampling):
     def __init__(self, k, trunc, n_list, e, grid):
         super().__init__(k, trunc, n_list, e, grid)
         self.kz = eval_kernel(k, self.z[:, None], self.z[None, :])
-        # K(z, x) W; its x rows are the full-kernel collocation matrix A.
-        self.rows_w = self.kz[:, self.ne:] * grid.weights
-        # Per n: the plain Nystrom matrix of K_n, the principal block of A on
-        # the nodes of spans[n].
-        self.blocks = {}
-        for n, span in self.spans.items():
-            inner = slice(self.ne + span.start, self.ne + span.stop)
-            self.blocks[n] = NystromMatrix(self.rows_w[inner, span], "plain",
-                                           grid.inside(self.trunc.tau(n)))
+
+    @functools.cached_property
+    def rows_w(self) -> np.ndarray:
+        """K(z, x) W; its x rows are the full-kernel collocation matrix A."""
+        return self.kz[:, self.ne:] * self.grid.weights
+
+    @functools.cached_property
+    def blocks(self) -> dict:
+        """Per n: the plain Nystrom matrix of K_n, the principal block of A
+        on the nodes of spans[n]."""
+        ne = self.ne
+        return {n: NystromMatrix(self.rows_w[ne + span.start:ne + span.stop, span], "plain",
+                                 self.grid.inside(self.trunc.tau(n)))
+                for n, span in self.spans.items()}
 
     @functools.cached_property
     def norm(self) -> float:
@@ -224,6 +245,23 @@ class _DenseRun(_RunSampling):
         return (h._extend(kz[:, inner] * chi, kz[inner, :ne], kz[:, :ne] * chi, self.e),
                 h._extend(kz[:ne, inner] * chi[:ne], kz[inner, ne:], kz[:ne, ne:] * chi[:ne], x))
 
+    def tail_norm(self, n, m, variant):
+        """The norm of the composite tail kernel (`tail_norms`) at n, from
+        the samples K(x, x)."""
+        kx, x, w = self.kz[self.ne:, self.ne:], self.grid.nodes, self.grid.weights
+        span = self.spans[n]
+        wy = w[span]
+        cols, a_n = kx[span], kx[span, span] * wy
+        for _ in range(m - 1):
+            cols = a_n @ cols
+        if variant == "tilde":
+            cols = cols * self.trunc.chi(n, x)[None, :]
+        outer = np.delete(kx[:, span], span, axis=0)
+        outer *= wy
+        composite = outer @ cols
+        composite *= w
+        return _largest_singular_value(_weighted_form(composite, np.delete(w, span), w))
+
 
 class _FactoredRun(_RunSampling):
     """K(s,t) = L(s) R(t)^T sampled as its factors on z (z x r each), for a
@@ -233,7 +271,10 @@ class _FactoredRun(_RunSampling):
     - the resolvent of K_n at lam is chi_n(s) L(s) (I - lam G_n)^{-1} R(t)^T,
       times chi_n(t) for "tilde", and det(I - lam A_n) = det(I - lam G_n);
     - the Neumann reference is L(s) [sum_{j < n_terms} (lam G)^j] R(t)^T;
-    - the norm estimate applies A = L(x) (R(x)^T W) through its factors.
+    - the composite tail kernel is (1 - chi_n(s)) L(s) G_n^m R(t)^T, times
+      chi_n(t) for "tilde";
+    - the norm estimates apply A = L(x) (R(x)^T W), or the tail kernel,
+      through its factors.
     """
 
     def __init__(self, k, trunc, n_list, e, grid, factors):
@@ -270,20 +311,37 @@ class _FactoredRun(_RunSampling):
             on_ex *= chi[self.ne:]
         return on_ze, on_ex
 
+    def tail_norm(self, n, m, variant):
+        """The norm of the composite tail kernel (`tail_norms`) at n, through
+        its factors."""
+        left, right, w = self.left[self.ne:], self.right[self.ne:], self.grid.weights
+        span = self.spans[n]
+        outer = np.delete(left, span, axis=0) @ np.linalg.matrix_power(self.cores[n], m)
+        cols_t = right * np.sqrt(w)[:, None]
+        if variant == "tilde":
+            cols_t *= self.trunc.chi(n, self.grid.nodes)[:, None]
+        return _largest_singular_value(np.sqrt(np.delete(w, span))[:, None] * outer, cols_t.T)
 
-def _sample_run(k, trunc, n_list, eval_grid, panels_per_unit, order) -> _RunSampling:
-    """The sampling of a convergence call over the sorted indices n_list:
-    factored when the kernel has exact factors of rank below the run grid's
-    node count (`quadrature._low_rank_factors`), else dense."""
-    if not n_list:
-        raise ValueError("n_list must be non-empty")
-    taus = [trunc.tau(n) for n in n_list]
-    grid = run_grid(max(k.tail_radius(), max(taus)), taus, panels_per_unit, order)
-    e = eval_grid.nodes
+
+def _sampling(k, trunc, n_list, e, grid) -> _RunSampling:
+    """The sampling of K on the evaluation nodes e and the run grid, over
+    the sorted indices n_list: factored when the kernel has exact factors of
+    rank below the run grid's node count (`quadrature._low_rank_factors`),
+    else dense."""
     factors = _low_rank_factors(k, np.concatenate([e, grid.nodes]), len(grid.nodes))
     if factors is None:
         return _DenseRun(k, trunc, n_list, e, grid)
     return _FactoredRun(k, trunc, n_list, e, grid, factors)
+
+
+def _sample_run(k, trunc, n_list, eval_grid, panels_per_unit, order) -> _RunSampling:
+    """The `_sampling` of a diagnostic over the sorted indices n_list, on the
+    run grid of (-R, R), R = max(tail radius, max tau_n)."""
+    if not n_list:
+        raise ValueError("n_list must be non-empty")
+    taus = [trunc.tau(n) for n in n_list]
+    grid = run_grid(max(k.tail_radius(), max(taus)), taus, panels_per_unit, order)
+    return _sampling(k, trunc, n_list, eval_grid.nodes, grid)
 
 
 def resolvent_convergence_diagnostic(
@@ -363,15 +421,38 @@ def boundedness_probe(
     return BoundednessProbe(bounded=bounded, M=m_val, norms=tuple(norms))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tail_condition_report(
     k: KernelSpec, trunc: TruncationScheme, m: int, n_list, disc: Discretization, variant: str = "plain"
 ):
-    """Sequence of composite tail norms ||(T - T_n) T_n^m|| over n_list (or the
-    both-sided-truncation analogue for variant "tilde").  A sequence falling
-    below ~1e-6 marks every probed regular lambda as a strong-convergence
-    point for the shifted truncated resolvents.  One kernel sampling serves
-    every n (see `quadrature._tail_norms`)."""
-    return _tail_norms(k, trunc, m, sorted(n_list), disc, variant)
+    """Sequence of composite tail norms ||(T - T_n) T_n^m|| over the sorted
+    n_list (or the both-sided-truncation analogue for variant "tilde").  A
+    sequence falling below ~1e-6 marks every probed regular lambda as a
+    strong-convergence point for the shifted truncated resolvents.
+
+    disc gives the radius R, the panels per unit and the order; R must
+    exceed every tau_n and should reach past 2*tau_n.  One sampling on the
+    run grid of (-R, R), with no evaluation nodes, serves every n (see
+    `_RunSampling.tail_norms`)."""
+    if m < 1:
+        raise ValueError("power m must be >= 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    n_list = sorted(n_list)
+    taus = [trunc.tau(n) for n in n_list]
+    if disc.radius <= max(taus) + 1e-12:
+        raise ValueError(
+            f"grid radius {disc.radius:.6g} must exceed tau_n={max(taus):.6g} to cover the tail")
+    grid = run_grid(disc.radius, taus, disc.panels_per_unit, disc.order)
+    return _sampling(k, trunc, n_list, np.empty(0), grid).tail_norms(m, variant)
+
+
+def tail_norm(k: KernelSpec, trunc: TruncationScheme, n: int, m: int, grid_outer: Discretization,
+              variant: str = "plain") -> float:
+    """Operator norm of (T - T_n) T_n^m (variant "plain"), or of the analogue
+    with both-sided truncation (variant "tilde"): `tail_condition_report`
+    at the one index n."""
+    return tail_condition_report(k, trunc, m, [n], grid_outer, variant)[0]
 
 
 @dataclass(frozen=True, eq=False)

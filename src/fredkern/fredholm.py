@@ -55,8 +55,6 @@ class CharScanResult:
 
     zeros: tuple
     search_region: tuple
-    grid_density: float
-    zero_tol: float = 1e-8
 
 
 def is_characteristic(det_value: complex, lam: complex) -> bool:
@@ -251,9 +249,10 @@ def char_scan(
     1/mu.  Those inside the region (widened by dedup_tol) whose |det| passes
     the zero test, on one LU each, are the zeros, deduplicated within
     dedup_tol.
-    `density` must be > 0 and is recorded as grid_density; it no longer
-    changes the zero set.  The one-sided and two-sided truncations share
-    their determinant, so `variant` does not change the zero set either.
+    `density` must be > 0 and does not change the zero set; it is kept
+    because callers pass it positionally and the CLI echoes its
+    `scan.density`.  The one-sided and two-sided truncations share their
+    determinant, so `variant` does not change the zero set either.
     """
     re0, re1, im0, im1 = (float(v) for v in region)
     if not (re1 >= re0 and im1 >= im0):
@@ -273,9 +272,4 @@ def char_scan(
             continue
         if all(abs(cand - z) > dedup_tol for z in zeros):
             zeros.append(cand)
-    return CharScanResult(
-        zeros=tuple(zeros),
-        search_region=(re0, re1, im0, im1),
-        grid_density=float(density),
-        zero_tol=1e-8,
-    )
+    return CharScanResult(zeros=tuple(zeros), search_region=(re0, re1, im0, im1))

@@ -1,5 +1,5 @@
 """Composite Gauss-Legendre grids on truncation intervals, Nystrom matrices
-for the truncated kernels, and operator/tail norm estimates.
+for the truncated kernels, and operator norm estimates.
 
 The discrete stand-in for an integral operator with kernel K on a grid
 (x_i, w_i) is the matrix A[i,j] = K(x_i, x_j) * w_j; its operator norm on the
@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import (VARIANTS, KernelSpec, TruncationScheme, eval_kernel, kernel_factors,
-                      subkernel_eval, subkernel_factors)
+from .kernels import (KernelSpec, TruncationScheme, eval_kernel, kernel_factors, subkernel_eval,
+                      subkernel_factors)
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -284,73 +284,3 @@ def _largest_singular_value(p: np.ndarray, qt: np.ndarray | None = None) -> floa
         return top_singular_value(lambda v: p @ v, lambda u: ph @ u, p.shape[1])
     q = qt.conj().T
     return top_singular_value(lambda v: p @ (qt @ v), lambda u: q @ (ph @ u), qt.shape[1])
-
-
-def tail_norm(k: KernelSpec, trunc: TruncationScheme, n: int, m: int, grid_outer: Discretization,
-              variant: str = "plain") -> float:
-    """Operator norm of (T - T_n) T_n^m (variant "plain"), or of the analogue
-    with both-sided truncation (variant "tilde").
-
-    grid_outer gives the radius R, the panels per unit and the order; R
-    should reach past 2*tau_n.  See `_tail_norms`.
-    """
-    return _tail_norms(k, trunc, m, [n], grid_outer, variant)[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _tail_norms(k, trunc, m, n_list, grid_outer, variant):
-    """`tail_norm` for every n of n_list, from one kernel sampling on the
-    `run_grid` of (-R, R) with edges at +-tau_n.
-
-    The composite kernel (1 - chi_n(s)) sum_y K(s,y) w_y [A_n^{m-1} K](y,t)
-    takes s from the grid nodes with |s| > tau_n and y from those inside, a
-    contiguous range; for "tilde" it is masked by chi_n(t) as well.  When the
-    kernel has exact factors K(s,t) = L(s) R(t)^T of rank r below the node
-    count (`_low_rank_factors`), the composite is L(s) G_n^m R(t)^T with the
-    r x r core G_n = sum_y w_y R(y)^T L(y) over the inner nodes, and its norm
-    is estimated through those factors.
-
-    An overflow leaves a norm beyond the float range, which raises
-    BudgetExceededError.
-    """
-    if m < 1:
-        raise ValueError("power m must be >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    taus = [trunc.tau(n) for n in n_list]
-    radius = grid_outer.radius
-    if radius <= max(taus) + 1e-12:
-        raise ValueError(
-            f"grid_outer radius {radius:.6g} must exceed tau_n={max(taus):.6g} to cover the tail")
-    grid = run_grid(radius, taus, grid_outer.panels_per_unit, grid_outer.order)
-    x, w = grid.nodes, grid.weights
-    factors = _low_rank_factors(k, x, len(x))
-    kx = eval_kernel(k, x[:, None], x[None, :]) if factors is None else None
-    norms = []
-    for n, tau in zip(n_list, taus):
-        i0, i1 = np.searchsorted(x, [-tau, tau])
-        w_out = np.concatenate([w[:i0], w[i1:]])
-        if factors is not None:
-            left, right = factors
-            core = (right[i0:i1] * w[i0:i1, None]).T @ left[i0:i1]
-            outer = np.concatenate([left[:i0], left[i1:]]) @ np.linalg.matrix_power(core, m)
-            cols_t = right * np.sqrt(w)[:, None]
-            if variant == "tilde":
-                cols_t *= trunc.chi(n, x)[:, None]
-            norms.append(_largest_singular_value(np.sqrt(w_out)[:, None] * outer, cols_t.T))
-        else:
-            wy = w[i0:i1]
-            cols = kx[i0:i1]
-            for _ in range(m - 1):
-                cols = (kx[i0:i1, i0:i1] * wy) @ cols
-            if variant == "tilde":
-                cols = cols * trunc.chi(n, x)[None, :]
-            outer = np.concatenate([kx[:i0, i0:i1], kx[i1:, i0:i1]])
-            outer *= wy
-            composite = outer @ cols
-            composite *= w
-            norms.append(_largest_singular_value(_weighted_form(composite, w_out, w)))
-    for n, norm in zip(n_list, norms):
-        if not math.isfinite(norm):
-            raise BudgetExceededError(f"tail norm at n={n} is beyond the float range")
-    return norms

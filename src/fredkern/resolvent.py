@@ -15,7 +15,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -35,11 +35,7 @@ PROBE_SHIFTS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True, eq=False)
 class ResolventHandle:
-    """Factorized resolvent of a truncated kernel at a regular lambda.
-
-    det_scale = 1 is the genuine resolvent; other values emulate a perturbed
-    determinant in the minor/det quotient (negative-control diagnostics only).
-    """
+    """Factorized resolvent of a truncated kernel at a regular lambda."""
 
     kernel: KernelSpec
     trunc: TruncationScheme
@@ -49,15 +45,10 @@ class ResolventHandle:
     matrix: NystromMatrix
     lu: tuple
     variant: str
-    det_scale: float = 1.0
 
     @property
     def grid(self) -> Discretization:
         return self.matrix.grid
-
-    def with_det_scaled(self, factor: float) -> "ResolventHandle":
-        """Negative control: evaluations behave as if det were scaled by factor."""
-        return replace(self, det_scale=self.det_scale * factor)
 
     def _plain(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return subkernel_eval(self.kernel, self.trunc, self.n, "plain", a[:, None], b[None, :])
@@ -98,7 +89,6 @@ class ResolventHandle:
         else:
             vals = self.lam * (rows_w @ self._solve(k_xt))
         vals += k_st
-        vals /= self.det_scale
         if self.variant == "tilde":
             vals *= self.trunc.chi(self.n, t_arr)
         return vals
@@ -113,9 +103,8 @@ class ResolventHandle:
         g = np.asarray(g, dtype=complex)
         if self.variant == "tilde":
             g = g * self.trunc.chi(self.n, self.grid.nodes)
-        u = _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b), g,
-                          np.isrealobj(self.lu[0]))
-        return u / self.det_scale
+        return _apply_linear(lambda b: self.matrix.entries @ lu_solve(self.lu, b), g,
+                             np.isrealobj(self.lu[0]))
 
 
 def _apply_linear(fn, b: np.ndarray, real: bool) -> np.ndarray:

@@ -5,6 +5,8 @@ Tolerances are pinned here and are not to be loosened; the oracle constants
 are closed-form Gaussian integrals (see conftest).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import fredkern as fk
@@ -66,8 +68,9 @@ def test_criterion_3_defining_equation_residuals(trunc, grid6):
             h = fk.make_resolvent(k, trunc, 6, lam, grid6)
             r_left, r_right = fk.residual_check(h, egrid)
             ok &= r_left <= 1e-6 and r_right <= 1e-6
-    perturbed = fk.make_resolvent(fk.gauss_rank1(), trunc, 6, 0.3, grid6).with_det_scaled(1.1)
-    ok &= max(fk.residual_check(perturbed, egrid)) >= 1e-2
+    # Negative control: a stale factor, the LU at 0.3 under a handle that claims 0.45.
+    h = fk.make_resolvent(fk.gauss_rank1(), trunc, 6, 0.3, grid6)
+    ok &= max(fk.residual_check(replace(h, lam=1.5 * h.lam), egrid)) >= 1e-2
     check(3, "defining-equation residuals <= 1e-6 with negative control >= 1e-2", ok)
 
 

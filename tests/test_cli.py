@@ -515,6 +515,19 @@ def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_tailnorm_factors_beyond_float_range_exit_clean(tmp_path, capsys):
+    # At coefficient 1.5e308 the factored sampling's own cores overflow, not
+    # only the norms; tailnorm still writes one E_BUDGET line and no warning.
+    kernel = dict(GAUSS_1E200, terms=[dict(GAUSS_1E200["terms"][0], coefficient=1.5e308)])
+    path = write_config(tmp_path, {"kernel": kernel})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(["tailnorm", "--config", path, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_BUDGET tail norm at n=2 ") and err.count("\n") == 1, err
+
+
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden", "config_rank1")
 GOLDEN_CSV = {"solve": "solution.csv", "resolvent": "resolvent_grid.csv", "scan": "zeros.csv",
               "converge": "convergence.csv", "tailnorm": "tailnorm.csv"}

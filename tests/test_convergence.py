@@ -236,6 +236,37 @@ def test_tail_condition_report_zero_and_nilpotent(zero, odd, trunc, disc8):
     assert all(v <= 1e-12 for v in fk.tail_condition_report(odd, trunc, 1, N_LIST, disc8))
 
 
+TAIL_ORACLE_KERNELS = {
+    "gauss_cauchy": fk.gauss_cauchy,  # dense
+    "rank2_orthogonal": fk.rank2_orthogonal,  # factored
+    "gauss_plus_xgauss": lambda: fk.KernelSpec("separable_sum", (
+        (0.1, fk.BasisFn("gauss"), fk.BasisFn("gauss")),
+        (1.0, fk.BasisFn("x_gauss"), fk.BasisFn("x_gauss")))),  # factored
+}
+
+
+@pytest.mark.parametrize("variant", fk.kernels.VARIANTS)
+@pytest.mark.parametrize("name", sorted(TAIL_ORACLE_KERNELS))
+def test_tail_condition_report_matches_dense_oracle(trunc, name, variant):
+    # The weighted 2-norm of the N x N matrix (A - A_n) A_n^m on the same run
+    # grid, with A = K W and A_n = chi_n A (plain) or chi_n A chi_n (tilde).
+    k = TAIL_ORACLE_KERNELS[name]()
+    n_list = [2, 3, 4, 5, 6]
+    disc = fk.grid_on_interval(-8.0, 8.0, 1, 8)
+    grid = fk.quadrature.run_grid(disc.radius, [trunc.tau(n) for n in n_list], 1, 8)
+    x, w = grid.nodes, grid.weights
+    a = fk.eval_kernel(k, x[:, None], x[None, :]) * w
+    sw = np.sqrt(w)
+    for m in (1, 2, 3):
+        got = fk.tail_condition_report(k, trunc, m, n_list, disc, variant)
+        for n, value in zip(n_list, got):
+            chi = trunc.chi(n, x)
+            a_n = chi[:, None] * a * (chi[None, :] if variant == "tilde" else 1.0)
+            tail = (a - a_n) @ np.linalg.matrix_power(a_n, m)
+            want = np.linalg.norm(sw[:, None] * tail / sw[None, :], 2)
+            assert abs(value - want) <= 1e-12 * want, (m, n, value, want)
+
+
 def test_characteristic_repulsion(rank1, trunc):
     # Determinant zeros of every truncation stay far from the regular 0.3.
     grid_maker = lambda n: fk.build_grid(trunc, n, 2, 8)

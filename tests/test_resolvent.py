@@ -144,8 +144,9 @@ def test_residuals_tight_for_rank1(rank1, trunc, grid6):
 
 
 def test_residual_negative_control(rank1, trunc, grid6):
-    h = fk.make_resolvent(rank1, trunc, 6, 0.3, grid6).with_det_scaled(1.1)
-    r_left, r_right = fk.residual_check(h, eval_grid())
+    # A stale factor: the LU at 0.3 under a handle that claims 0.45.
+    h = fk.make_resolvent(rank1, trunc, 6, 0.3, grid6)
+    r_left, r_right = fk.residual_check(replace(h, lam=1.5 * h.lam), eval_grid())
     assert max(r_left, r_right) >= 1e-2
 
 
@@ -344,7 +345,7 @@ def test_neumann_kernel_matrix_matches_term_sum(kernel, n_terms):
 
 
 def dense_resolvent(h, s, t):
-    """K_n + lambda K_n(s,x) W solve(I - lambda A, K_n(x,t)), scaled and masked."""
+    """K_n + lambda K_n(s,x) W solve(I - lambda A, K_n(x,t)), masked."""
     x, w = h.grid.nodes, h.grid.weights
 
     def plain(a, b):
@@ -353,7 +354,7 @@ def dense_resolvent(h, s, t):
 
     a = plain(x, x) * w[None, :]
     sol = np.linalg.solve(np.eye(len(x)) - h.lam * a, plain(x, t))
-    vals = (plain(s, t) + h.lam * (plain(s, x) * w[None, :]) @ sol) / h.det_scale
+    vals = plain(s, t) + h.lam * (plain(s, x) * w[None, :]) @ sol
     if h.variant == "tilde":
         vals = vals * h.trunc.chi(h.n, t)[None, :]
     return vals
@@ -361,11 +362,8 @@ def dense_resolvent(h, s, t):
 
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
 @pytest.mark.parametrize("lam", [0.3, 0.4 - 0.25j])
-@pytest.mark.parametrize("scaled", [False, True])
-def test_eval_grid_matrix_matches_dense_formula(trunc, grid6, variant, lam, scaled):
+def test_eval_grid_matrix_matches_dense_formula(trunc, grid6, variant, lam):
     h = fk.make_resolvent(coupled_kernel(), trunc, 6, lam, grid6, variant=variant)
-    if scaled:
-        h = h.with_det_scaled(1.7)
     for s, t in ORIENTATIONS:
         got = h.eval_grid_matrix(s, t)
         want = dense_resolvent(h, s, t)
