@@ -27,8 +27,7 @@ from .quadrature import (
     _low_rank_factors,
     _sampled_factors,
     _weighted_form,
-    factored_norm_estimate,
-    matrix_norm_estimate,
+    operator_norm_estimate,
     run_grid,
     top_singular_value,
 )
@@ -103,7 +102,8 @@ class _RunSampling:
     edges at +-tau_n for every n of the call.  z is the evaluation nodes e
     followed by the run-grid nodes x, and the nodes |x| < tau_n are the
     contiguous range `spans[n]` of x.  A subclass samples K on z once and
-    gives, from that sampling, the full kernel's norm estimate, the Neumann
+    gives, from that sampling, `a`, the full kernel's Nystrom matrix on the
+    run grid (whose `norm` and blocks are shared here), the Neumann
     reference, each truncated resolvent on (z, e) and on (e, x), and the
     tail norms on the run grid.
     """
@@ -116,6 +116,18 @@ class _RunSampling:
         for n in n_list:
             i0, i1 = np.searchsorted(grid.nodes, [-trunc.tau(n), trunc.tau(n)])
             self.spans[n] = slice(i0, i1)
+
+    @functools.cached_property
+    def blocks(self) -> dict:
+        """Per n: the plain Nystrom matrix of K_n, the principal block of `a`
+        on the nodes of spans[n]."""
+        return {n: self.a.restrict(span, self.grid.inside(self.trunc.tau(n)))
+                for n, span in self.spans.items()}
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Operator norm estimate of the full kernel on the run grid."""
+        return operator_norm_estimate(self.a)
 
     def diagnose(self, lam, schedule, reference, variant, n_terms, series=None) -> ConvergenceReport:
         """`resolvent_convergence_diagnostic` on this sampling; `series` is
@@ -186,7 +198,8 @@ class _RunSampling:
 
 class _DenseRun(_RunSampling):
     """K sampled on z x z; every per-n matrix, reference block and norm is a
-    restriction of that sampling."""
+    restriction of that sampling.  `rows_w` and `a` are lazy, so the tail
+    norms allocate no second N x N array."""
 
     def __init__(self, k, trunc, n_list, e, grid):
         super().__init__(k, trunc, n_list, e, grid)
@@ -194,27 +207,17 @@ class _DenseRun(_RunSampling):
 
     @functools.cached_property
     def rows_w(self) -> np.ndarray:
-        """K(z, x) W; its x rows are the full-kernel collocation matrix A."""
+        """K(z, x) W; its x rows are the entries of `a`."""
         return self.kz[:, self.ne:] * self.grid.weights
 
     @functools.cached_property
-    def blocks(self) -> dict:
-        """Per n: the plain Nystrom matrix of K_n, the principal block of A
-        on the nodes of spans[n]."""
-        ne = self.ne
-        return {n: NystromMatrix(self.rows_w[ne + span.start:ne + span.stop, span], "plain",
-                                 self.grid.inside(self.trunc.tau(n)))
-                for n, span in self.spans.items()}
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """Operator norm estimate of the full kernel on the run grid."""
-        return matrix_norm_estimate(self.rows_w[self.ne:], self.grid.weights)
+    def a(self) -> NystromMatrix:
+        return NystromMatrix(self.rows_w[self.ne:], "plain", self.grid)
 
     @functools.cached_property
     def reference_factors(self):
         """`_sampled_factors` of A, built with the first Neumann reference."""
-        return _sampled_factors(self.rows_w[self.ne:])
+        return _sampled_factors(self.a.entries)
 
     def series(self, lams, n_terms):
         """The Neumann reference on (z, e) and on (e, x), for each lambda.
@@ -227,7 +230,7 @@ class _DenseRun(_RunSampling):
         blocks = ((rows_w, kz[ne:, :ne], kz[:, :ne]), (rows_w[:ne], kz[ne:, ne:], kz[:ne, ne:]))
         factors = self.reference_factors if n_terms > 2 else None
         if factors is None:
-            a = rows_w[ne:]
+            a = self.a.entries
             sums = [_neumann_sums(lams, rows, a, cols, direct, n_terms) for rows, cols, direct in blocks]
         else:
             u, vt = factors
@@ -265,34 +268,27 @@ class _DenseRun(_RunSampling):
 
 class _FactoredRun(_RunSampling):
     """K(s,t) = L(s) R(t)^T sampled as its factors on z (z x r each), for a
-    kernel of rank r below the run grid's node count.  With the r x r cores
-    G = sum_x w_x R(x)^T L(x), over the whole run grid or over spans[n]:
+    kernel of rank r below the run grid's node count.  `a` holds the factors
+    L(x) and (W R(x))^T without entries; with the r x r cores
+    G = sum_x w_x R(x)^T L(x) of `a`, or G_n of `blocks[n]` over spans[n]:
 
     - the resolvent of K_n at lam is chi_n(s) L(s) (I - lam G_n)^{-1} R(t)^T,
       times chi_n(t) for "tilde", and det(I - lam A_n) = det(I - lam G_n);
     - the Neumann reference is L(s) [sum_{j < n_terms} (lam G)^j] R(t)^T;
     - the composite tail kernel is (1 - chi_n(s)) L(s) G_n^m R(t)^T, times
       chi_n(t) for "tilde";
-    - the norm estimates apply A = L(x) (R(x)^T W), or the tail kernel,
-      through its factors.
+    - the norm estimates apply A, or the tail kernel, through its factors.
     """
 
     def __init__(self, k, trunc, n_list, e, grid, factors):
         super().__init__(k, trunc, n_list, e, grid)
         self.left, self.right = factors
-        self.right_w = self.right[self.ne:] * grid.weights[:, None]  # W R(x)
-        self.core = self.right_w.T @ self.left[self.ne:]
-        self.cores = {n: self.right_w[span].T @ self.left[self.ne:][span]
-                      for n, span in self.spans.items()}
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """Operator norm estimate of the full kernel on the run grid."""
-        return factored_norm_estimate(self.left[self.ne:], self.right_w.T, self.grid.weights)
+        right_w = self.right[self.ne:] * grid.weights[:, None]  # W R(x)
+        self.a = NystromMatrix(None, "plain", grid, self.left[self.ne:], right_w.T)
 
     def series(self, lams, n_terms):
         """The Neumann reference on (z, e) and on (e, x), for each lambda."""
-        left, g, ne = self.left, self.core, self.ne
+        left, g, ne = self.left, self.a.core, self.ne
         right_e, right_x = self.right[:ne].T, self.right[ne:].T
         on_ze = _neumann_sums(lams, left, g, g @ right_e, left @ right_e, n_terms)
         on_ex = _neumann_sums(lams, left[:ne], g, g @ right_x, left[:ne] @ right_x, n_terms)
@@ -300,7 +296,7 @@ class _FactoredRun(_RunSampling):
 
     def resolvent(self, n, lam_n, variant):
         """The resolvent kernel of K_n at lam_n on (z, e) and on (e, x)."""
-        g = self.cores[n]
+        g = self.blocks[n].core
         lu_piv, _ = _shifted_factor(g, lam_n)
         chi = self.trunc.chi(n, self.z)
         rows = (self.left * chi[:, None]) @ lu_solve(lu_piv, np.eye(len(g)))
@@ -316,7 +312,7 @@ class _FactoredRun(_RunSampling):
         its factors."""
         left, right, w = self.left[self.ne:], self.right[self.ne:], self.grid.weights
         span = self.spans[n]
-        outer = np.delete(left, span, axis=0) @ np.linalg.matrix_power(self.cores[n], m)
+        outer = np.delete(left, span, axis=0) @ np.linalg.matrix_power(self.blocks[n].core, m)
         cols_t = right * np.sqrt(w)[:, None]
         if variant == "tilde":
             cols_t *= self.trunc.chi(n, self.grid.nodes)[:, None]

@@ -229,8 +229,12 @@ def _shifted_lu(a: np.ndarray, lam: complex):
 
 
 def det_matrix(m: NystromMatrix, lam: complex) -> DetResult:
-    """det(I - lambda*A) = det(I - lambda*core) by pivoted LU factorization."""
-    return DetResult(value=det_from_lu(*_shifted_lu(m.core, lam)), path="matrix", terms_used=0)
+    """det(I - lambda*A) = det(I - lambda*core) by pivoted LU factorization.
+    A determinant beyond the float range raises BudgetExceededError."""
+    value = det_from_lu(*_shifted_lu(m.core, lam))
+    if not cmath.isfinite(value):
+        raise BudgetExceededError(f"det(I - lambda*A) at lambda={complex(lam)} is beyond the float range")
+    return DetResult(value=value, path="matrix", terms_used=0)
 
 
 def char_scan(

@@ -271,17 +271,6 @@ def kernel_factors(k: KernelSpec, s, t):
     return _separable_factors(k, np.asarray(s, dtype=float), np.asarray(t, dtype=float))
 
 
-def subkernel_factors(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str, x):
-    """`kernel_factors` of the truncated kernel on x by x: left is masked by
-    chi_n, and right too for "tilde"."""
-    factors = kernel_factors(k, x, x)
-    if factors is None:
-        return None
-    chi = trunc.chi(n, x)[:, None]
-    left, right = factors
-    return left * chi, (right * chi if variant == "tilde" else right)
-
-
 def iterant_eval(k: KernelSpec, m: int, s: float, t: float, disc) -> complex:
     """m-th iterated kernel, the (m-1)-fold convolution of K with itself,
     by quadrature on the given grid.  For a rank-1 kernel K = u x v it equals

@@ -2,7 +2,8 @@
 for the truncated kernels, and operator norm estimates.
 
 The discrete stand-in for an integral operator with kernel K on a grid
-(x_i, w_i) is the matrix A[i,j] = K(x_i, x_j) * w_j; its operator norm on the
+(x_i, w_i) is the matrix A[i,j] = K(x_i, x_j) * w_j, held dense or factored
+by `NystromMatrix`, the one collocation type; its operator norm on the
 weighted l^2 space is the top singular value of W^{1/2} K W^{1/2}, estimated
 here by deterministic power iteration.
 """
@@ -16,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import (KernelSpec, TruncationScheme, eval_kernel, kernel_factors, subkernel_eval,
-                      subkernel_factors)
+from .kernels import KernelSpec, TruncationScheme, eval_kernel, kernel_factors, subkernel_eval
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -56,14 +56,16 @@ class Discretization:
 class NystromMatrix:
     """Collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j.
 
-    When the kernel has exact factors of rank r < N (`subkernel_factors`),
+    When the kernel has exact factors of rank r < N (`_low_rank_factors`),
     u (N x r) and vt (r x N) hold them and A = u @ vt up to rounding; `core`
     is then the r x r matrix vt @ u.  By Sylvester's identity det(I - lambda A)
     = det(I - lambda core), tr(A^k) = tr(core^k), and A and core share their
     nonzero eigenvalues.  Otherwise u and vt are None and `core` is `entries`.
+    A factored matrix may come without its entries (None), and a core beyond
+    the float range raises BudgetExceededError.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray | None
     variant: str
     grid: Discretization
     u: np.ndarray | None = None
@@ -71,11 +73,24 @@ class NystromMatrix:
 
     @cached_property
     def core(self) -> np.ndarray:
-        return self.entries if self.u is None else self.vt @ self.u
+        if self.u is None:
+            return self.entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            core = self.vt @ self.u
+        if not np.isfinite(core).all():
+            raise BudgetExceededError("the r x r core of a factored Nystrom matrix is beyond the float range")
+        return core
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """A @ b, as u @ (vt @ b) when A is factored."""
         return self.entries @ b if self.u is None else self.u @ (self.vt @ b)
+
+    def restrict(self, span: slice, grid: Discretization) -> NystromMatrix:
+        """The principal block on the contiguous node range span, whose nodes
+        and weights are those of grid (the plain K_n on `inside(tau_n)`)."""
+        entries = None if self.entries is None else self.entries[span, span]
+        u, vt = (None, None) if self.u is None else (self.u[span], self.vt[:, span])
+        return NystromMatrix(entries, self.variant, grid, u, vt)
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
@@ -143,13 +158,6 @@ def nystrom_matrix(
     cover (-tau_n, tau_n); a wider grid (built for a larger index) is fine,
     the mask then zeroes the out-of-interval rows/columns.  A separable
     kernel of rank below the node count gives a factored matrix."""
-    return _with_factors(dense_nystrom_matrix(k, trunc, n, variant, grid), k, trunc, n)
-
-
-def dense_nystrom_matrix(k: KernelSpec, trunc: TruncationScheme, n: int, variant: str,
-                         grid: Discretization) -> NystromMatrix:
-    """`nystrom_matrix` without the factors, for callers that read only the
-    entries (the resolvent handle)."""
     if grid.radius + 1e-12 < trunc.tau(n):
         raise ValueError(
             f"grid radius {grid.radius:.6g} does not cover tau_n={trunc.tau(n):.6g}"
@@ -157,24 +165,26 @@ def dense_nystrom_matrix(k: KernelSpec, trunc: TruncationScheme, n: int, variant
     x = grid.nodes
     vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
     vals *= grid.weights
-    return NystromMatrix(entries=vals, variant=variant, grid=grid)
+    return _with_factors(NystromMatrix(entries=vals, variant=variant, grid=grid), k, trunc, n)
 
 
 def _with_factors(m: NystromMatrix, k: KernelSpec, trunc: TruncationScheme, n: int) -> NystromMatrix:
-    """m with the kernel's exact factors attached iff their rank is below
-    the node count."""
-    w = m.grid.weights
-    factors = subkernel_factors(k, trunc, n, m.variant, m.grid.nodes)
-    if factors is None or factors[0].shape[1] >= len(w):
+    """m with the factors of `_low_rank_factors` attached, masked as the
+    truncated kernel: the left one by chi_n, the right one too for "tilde"."""
+    x, w = m.grid.nodes, m.grid.weights
+    factors = _low_rank_factors(k, x, len(x))
+    if factors is None:
         return m
     left, right = factors
-    return replace(m, u=left, vt=(right * w[:, None]).T)
+    chi = trunc.chi(n, x)[:, None]
+    right = right * chi if m.variant == "tilde" else right
+    return replace(m, u=left * chi, vt=(right * w[:, None]).T)
 
 
 def _low_rank_factors(k: KernelSpec, z: np.ndarray, n_nodes: int):
     """`kernel_factors` of K on z x z when their rank is below n_nodes, the
-    node count of the grid they discretize (the rule of `nystrom_matrix`);
-    else None, and K is sampled densely."""
+    node count of the grid they discretize; else None, and K is sampled
+    densely.  This is the one dense-or-factored rule of the package."""
     factors = kernel_factors(k, z, z)
     return factors if factors is not None and factors[0].shape[1] < n_nodes else None
 
@@ -217,6 +227,18 @@ def full_matrix(k: KernelSpec, grid: Discretization) -> np.ndarray:
     return vals
 
 
+def _rescaled(x: np.ndarray):
+    """(x 2^-e, e) with e the binary exponent of max|x| when that leaves
+    [2^-64, 2^64], else (x, 0).  The range lies far inside the float range,
+    so one more step of a chain cannot carry it past either end."""
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    if abs(e) <= 64:
+        return x, 0
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
+    return np.ldexp(x, -e), e
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float = 1e-12) -> float:
     """Largest singular value by power iteration on the normal operator.
@@ -227,25 +249,30 @@ def top_singular_value(apply, apply_h, dim: int, iters: int = 200, rtol: float =
     about 0 the ramp has an even and an odd part, so it is orthogonal to
     neither kind of singular vector; all-ones, orthogonal to every odd one,
     missed the norm of a kernel whose top singular function is odd.
+    Both iterates are rescaled by exact powers of two (`_rescaled`), so any
+    norm in the float range is found; a run that never rescales rounds
+    exactly as the plain iteration.
     An iterate that leaves the float range gives inf, without a warning.
     """
     v = 1.0 + np.arange(dim) / dim  # real, so a real operator iterates in real arithmetic
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
-        u = apply(v)
+        u, e_u = _rescaled(apply(v))
         su = np.linalg.norm(u)
         if not np.isfinite(su):
             return math.inf
         if su == 0.0:
             return 0.0
-        v = apply_h(u)
+        v, e_v = _rescaled(apply_h(u))
         sv = np.linalg.norm(v)
         if not np.isfinite(sv):
             return math.inf
         if sv == 0.0:
             return 0.0
-        sigma_new = math.sqrt(sv)
+        e = e_u + e_v
+        # sqrt(sv 2^e) without forming sv 2^e, which may leave the float range.
+        sigma_new = float(np.ldexp(math.sqrt(math.ldexp(sv, e % 2)), e // 2))
         v /= sv
         if sigma > 0 and abs(sigma_new - sigma) <= rtol * sigma:
             return sigma_new
@@ -261,20 +288,14 @@ def _weighted_form(entries: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) ->
 
 
 def operator_norm_estimate(m: NystromMatrix) -> float:
-    """Operator norm (top singular value) of the discretized integral operator."""
-    return matrix_norm_estimate(m.entries, m.grid.weights)
-
-
-def matrix_norm_estimate(entries: np.ndarray, weights: np.ndarray) -> float:
-    """Operator norm for a raw collocation matrix (entries = K * W)."""
-    return _largest_singular_value(_weighted_form(entries, weights, weights))
-
-
-def factored_norm_estimate(u: np.ndarray, vt: np.ndarray, weights: np.ndarray) -> float:
-    """`matrix_norm_estimate` of the collocation matrix u @ vt (N x r times
-    r x N), applied through its factors at O(N r) per step."""
-    sw = np.sqrt(weights)
-    return _largest_singular_value(sw[:, None] * u, vt / sw)
+    """Operator norm (top singular value) of the discretized integral
+    operator, the one norm of a square collocation matrix.  A factored m is
+    applied through its factors at O(N r) per step."""
+    w = m.grid.weights
+    if m.u is None:
+        return _largest_singular_value(_weighted_form(m.entries, w, w))
+    sw = np.sqrt(w)
+    return _largest_singular_value(sw[:, None] * m.u, m.vt / sw)
 
 
 def _largest_singular_value(p: np.ndarray, qt: np.ndarray | None = None) -> float:

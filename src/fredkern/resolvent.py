@@ -23,12 +23,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .errors import CharacteristicValueError, NeumannDivergenceError
 from .fredholm import DetResult, det_from_lu, is_characteristic, shifted_identity
 from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
-from .quadrature import (
-    Discretization,
-    NystromMatrix,
-    dense_nystrom_matrix,
-    matrix_norm_estimate,
-)
+from .quadrature import Discretization, NystromMatrix, _rescaled, nystrom_matrix, operator_norm_estimate
 
 PROBE_SHIFTS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
@@ -130,14 +125,15 @@ def _variant_entries(h: ResolventHandle) -> np.ndarray:
 def make_resolvent(k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, grid: Discretization,
                    variant: str = "plain") -> ResolventHandle:
     """Build a resolvent handle; lambda must not be numerically characteristic."""
-    return _factor(k, trunc, n, lam, dense_nystrom_matrix(k, trunc, n, "plain", grid), variant)
+    return _factor(k, trunc, n, lam, nystrom_matrix(k, trunc, n, "plain", grid), variant)
 
 
 def _factor(
     k: KernelSpec, trunc: TruncationScheme, n: int, lam: complex, m: NystromMatrix, variant: str
 ) -> ResolventHandle:
     """The handle of `make_resolvent` for a given plain Nystrom matrix m of
-    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda."""
+    K_n on its grid: factor I - lambda*A and refuse a characteristic lambda.
+    Only m.entries is read."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
@@ -264,11 +260,11 @@ def _check_disk(lam: complex, norm_t: float) -> None:
         raise NeumannDivergenceError(lam, norm_t)
 
 
-def _neumann_matrix(lam: complex, kv: np.ndarray, weights: np.ndarray):
-    """Full-kernel collocation matrix kv * W and its norm estimate, raising
-    NeumannDivergenceError unless |lambda| * ||T|| < 1."""
-    a = kv * weights
-    norm_t = matrix_norm_estimate(a, weights)
+def _neumann_matrix(lam: complex, kv: np.ndarray, disc: Discretization):
+    """Full-kernel collocation matrix kv * W on disc and its norm estimate,
+    raising NeumannDivergenceError unless |lambda| * ||T|| < 1."""
+    a = kv * disc.weights
+    norm_t = operator_norm_estimate(NystromMatrix(a, "plain", disc))
     _check_disk(lam, norm_t)
     return a, norm_t
 
@@ -286,7 +282,7 @@ def neumann_full(
         raise ValueError("n_terms must be >= 1")
     x, w = disc.nodes, disc.weights
     kv = eval_kernel(k, x[:, None], x[None, :])  # the one sampling: matrix, norm and Carleman sups
-    a, norm_t = _neumann_matrix(lam, kv, w)
+    a, norm_t = _neumann_matrix(lam, kv, disc)
     value = neumann_kernel_matrix(k, lam, s, t, disc, n_terms, _matrix=a)[0, 0]
     rate = abs(complex(lam)) * norm_t
     sq = np.abs(kv) ** 2
@@ -315,7 +311,7 @@ def neumann_kernel_matrix(k: KernelSpec, lam: complex, s_pts, t_pts, disc: Discr
         raise ValueError("n_terms must be >= 1")
     x = disc.nodes
     if _matrix is None:
-        _matrix = _neumann_matrix(lam, eval_kernel(k, x[:, None], x[None, :]), disc.weights)[0]
+        _matrix = _neumann_matrix(lam, eval_kernel(k, x[:, None], x[None, :]), disc)[0]
     s_arr = np.atleast_1d(np.asarray(s_pts, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t_pts, dtype=float))
     rows_w = eval_kernel(k, s_arr[:, None], x[None, :])
@@ -337,10 +333,10 @@ def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int, head=None) -> lis
     the term j >= 2 is lambda^j rows_w a^(j-2) cols, a chain on the r x r
     core.
 
-    The chain is rescaled by exact powers of two (`_rescaled`) and their
-    exponent is folded into the coefficient lambda^j (`_scaled_power`), so a
-    chain A^i C that grows or decays past the float range while |lambda|
-    ||T|| < 1 neither overflows nor underflows.  Where the coefficient lam**j
+    The chain is rescaled by exact powers of two (`quadrature._rescaled`)
+    and their exponent is folded into the coefficient lambda^j
+    (`_scaled_power`), so a chain A^i C that grows or decays past the float
+    range while |lambda| ||T|| < 1 neither overflows nor underflows.  Where the coefficient lam**j
     is a normal float, each term rounds exactly as the unscaled product."""
     lams = [complex(lam) for lam in lams]
     total = np.asarray(direct, dtype=complex)
@@ -361,18 +357,6 @@ def _neumann_sums(lams, rows_w, a, cols, direct, n_terms: int, head=None) -> lis
         for lam, acc in zip(lams, accs):
             acc += _scaled_power(lam, j, exponent) * chain
     return [t + (acc @ cols if row_side else rows_w @ acc) for t, acc in zip(totals, accs)]
-
-
-def _rescaled(x: np.ndarray):
-    """(x 2^-e, e) with e the binary exponent of max|x| when that leaves
-    [2^-64, 2^64], else (x, 0).  The range lies far inside the float range,
-    so one more step of a chain cannot carry it past either end."""
-    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
-    if abs(e) <= 64:
-        return x, 0
-    if np.iscomplexobj(x):
-        return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
-    return np.ldexp(x, -e), e
 
 
 def _scaled_power(lam: complex, j: int, e: int) -> complex:

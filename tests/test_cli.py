@@ -481,13 +481,15 @@ def test_run_sech_past_cosh_overflow_exits_clean(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["det", "resolvent"])
-def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command):
-    # I - lambda*A overflows for these entries at lambda = 1e10.
+@pytest.mark.parametrize("command, lam", [("det", "1e10"), ("resolvent", "1e10"), ("det", "0.3")],
+                         ids=["det", "resolvent", "det-0.3"])
+def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command, lam):
+    # I - lambda*A overflows for these entries at lambda = 1e10; at 0.3 it
+    # is finite, but its determinant (log|det| = 83409) is not.
     path = write_config(tmp_path, {"kernel": TABULATED_1E300})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_command([command, "--config", path, "--lambda", "1e10", "--out", str(tmp_path)])
+        rc = run_command([command, "--config", path, "--lambda", lam, "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("E_BUDGET ") and err.count("\n") == 1
@@ -499,12 +501,14 @@ GAUSS_1E200 = {"family": "separable_sum",
 
 @pytest.mark.parametrize("command, code, prefix", [
     ("tailnorm", 1, "E_BUDGET tail norm at n=2 "),
-    ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 norm=inf"),
+    ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 "
+                    "norm=1.2533141373155004e+200"),
 ])
 def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code, prefix):
-    # The tail norms are about 1e400 and the operator norm 1e200, so the
-    # power iteration's squared norms overflow: tailnorm refuses its inf
-    # cells, converge reports norm=inf, and no numpy warning reaches stderr.
+    # The tail norms are about 1e400, beyond the float range, and tailnorm
+    # refuses its inf cells.  The operator norm is sqrt(pi/2) 1e200, which
+    # the power iteration reaches on its rescaled iterates, and converge
+    # reports it.  No numpy warning reaches stderr.
     path = write_config(tmp_path, {"kernel": GAUSS_1E200})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -516,16 +520,23 @@ def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code
 
 
 def test_tailnorm_factors_beyond_float_range_exit_clean(tmp_path, capsys):
-    # At coefficient 1.5e308 the factored sampling's own cores overflow, not
-    # only the norms; tailnorm still writes one E_BUDGET line and no warning.
+    # At coefficient 1.5e308 the r x r cores of the factored matrices
+    # overflow, not only the norms.  tailnorm, scan and det refuse the core
+    # with one E_BUDGET line; converge first finds the full kernel's norm
+    # beyond the float range.  No warning reaches stderr.
     kernel = dict(GAUSS_1E200, terms=[dict(GAUSS_1E200["terms"][0], coefficient=1.5e308)])
     path = write_config(tmp_path, {"kernel": kernel})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run_command(["tailnorm", "--config", path, "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("E_BUDGET tail norm at n=2 ") and err.count("\n") == 1, err
+    core = "E_BUDGET the r x r core of a factored Nystrom matrix is beyond the float range\n"
+    for command, code, want in [
+        ("tailnorm", 1, core), ("scan", 1, core), ("det", 1, core),
+        ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 "
+                        "norm=inf\n"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_command([command, "--config", path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (rc, err) == (code, want), command
 
 
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden", "config_rank1")

@@ -640,11 +640,12 @@ def scaled_table(c):
 
 
 @pytest.mark.parametrize("make", [scaled_gauss, scaled_table])
-@pytest.mark.parametrize("c", [1e9, 1e-9])
+@pytest.mark.parametrize("c", [1e9, 1e-9, 1e80])
 def test_neumann_reference_of_scaled_kernel(trunc, make, c):
     # lambda K is the same operator as at c = 1, while ||A|| is far from 1:
     # the unscaled chain A^i K overflowed (c = 1e9, NaN distances) or lambda^j
-    # overflowed (c = 1e-9).
+    # overflowed (c = 1e-9), and the power iteration's unscaled iterates
+    # squared ||A||^2 past the float range (c = 1e80, norm inf).
     sched = fk.ShiftSchedule("zero")
     egrid = fk.grid_on_interval(-4.0, 4.0, 1, 4)
 
@@ -659,6 +660,21 @@ def test_neumann_reference_of_scaled_kernel(trunc, make, c):
     want = seqs(make(1.0), 0.3)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-13 * np.max(want, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("make", [scaled_gauss, scaled_table])
+@pytest.mark.parametrize("c", [1e76, 1e-76])
+def test_tail_norms_of_scaled_kernel(trunc, make, c, m):
+    # The tail kernel (T - T_n) T_n^m scales as c^(m+1), up to 1e228 or down
+    # to 1e-228; the unscaled iterates' squared norms left the float range.
+    disc = fk.grid_on_interval(-8.0, 8.0, 1, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array(fk.tail_condition_report(make(c), trunc, m, [2, 4], disc))
+    want = c ** (m + 1) * np.array(fk.tail_condition_report(make(1.0), trunc, m, [2, 4], disc))
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
 
 
 def test_long_neumann_series_stays_finite(rank1, trunc):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor
 
 import fredkern as fk
+from fredkern.convergence import _DenseRun, _FactoredRun, _sampling
 from fredkern.fredholm import _hadamard_tail, det_from_lu
 from fredkern.kernels import VARIANTS
 
@@ -91,6 +92,9 @@ def test_factored_iff_rank_below_node_count(trunc):
     k12 = fk.KernelSpec("separable_sum", terms + terms[:4])
     m = fk.nystrom_matrix(k12, trunc, 1, "plain", tiny)
     assert m.u is None and m.vt is None and m.core is m.entries
+    # The convergence sampling of a run grid follows the same rule.
+    assert isinstance(_sampling(k, trunc, [1], np.empty(0), small), _FactoredRun)
+    assert isinstance(_sampling(k12, trunc, [1], np.empty(0), tiny), _DenseRun)
 
 
 def test_dense_kernels_keep_dense_path(gcauchy, trunc, grid6):

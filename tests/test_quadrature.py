@@ -106,7 +106,7 @@ def test_norm_estimates_find_an_odd_top_singular_function(odd, disc8, odd_weight
     # old start vector: the dense estimate of 0.1 g(s)g(t) + xg(s)xg(t)
     # stopped at the even singular value 0.1 ||g||^2, and the factored one
     # of g(s)xg(t) was exactly 0.
-    from fredkern.quadrature import factored_norm_estimate, full_matrix, matrix_norm_estimate
+    from fredkern.quadrature import full_matrix
 
     g, xg = fk.BasisFn("gauss"), fk.BasisFn("x_gauss")
     mixed = fk.KernelSpec("separable_sum", ((0.1, g, g), (odd_weight, xg, xg)))
@@ -114,18 +114,20 @@ def test_norm_estimates_find_an_odd_top_singular_function(odd, disc8, odd_weight
     cases = ((mixed, max(0.1 * GAUSS_FULL, odd_weight * XGAUSS_FULL)),
              (odd, math.sqrt(GAUSS_FULL * XGAUSS_FULL)))
     for k, want in cases:
-        assert matrix_norm_estimate(full_matrix(k, disc8), w) == pytest.approx(want, rel=1e-12)
+        dense = fk.NystromMatrix(full_matrix(k, disc8), "plain", disc8)
+        assert fk.operator_norm_estimate(dense) == pytest.approx(want, rel=1e-12)
         left, right = fk.kernels.kernel_factors(k, x, x)
-        assert factored_norm_estimate(left, (right * w[:, None]).T, w) == pytest.approx(want, rel=1e-12)
+        factored = fk.NystromMatrix(None, "plain", disc8, left, (right * w[:, None]).T)
+        assert fk.operator_norm_estimate(factored) == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_monotone_under_truncation(rank2, trunc, disc8):
-    from fredkern.quadrature import full_matrix, matrix_norm_estimate
+    from fredkern.quadrature import full_matrix
 
     grid = fk.build_grid(trunc, 6, 4, 8)
     norm_tilde = fk.operator_norm_estimate(fk.nystrom_matrix(rank2, trunc, 6, "tilde", grid))
     norm_plain = fk.operator_norm_estimate(fk.nystrom_matrix(rank2, trunc, 6, "plain", grid))
-    norm_full = matrix_norm_estimate(full_matrix(rank2, disc8), disc8.weights)
+    norm_full = fk.operator_norm_estimate(fk.NystromMatrix(full_matrix(rank2, disc8), "plain", disc8))
     assert norm_tilde <= norm_plain + 1e-12
     assert norm_plain <= norm_full + 1e-8
 
