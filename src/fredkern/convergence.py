@@ -380,9 +380,10 @@ def boundedness_probe(
     """Empirical membership test for the region of boundedness of the shifted
     truncated operators beta_n*I + T_n at zeta.
 
-    Estimates the operator norm of each discrete Fredholm resolvent on a
-    common grid; M is the max, and `bounded` holds when all norms are finite
-    and the last does not exceed twice the median (divergence detector).
+    Estimates the operator norm of each discrete Fredholm resolvent on the
+    run grid, from its one `_sampling` (never square for a separable kernel);
+    M is the max, and `bounded` holds when all norms are finite and the last
+    does not exceed twice the median (divergence detector).
     Characteristic hits count as unbounded.  zeta = 0 is rejected.
     """
     zeta = complex(zeta)
@@ -391,10 +392,9 @@ def boundedness_probe(
     n_list = sorted(int(n) for n in n_list)
     taus = [trunc.tau(n) for n in n_list]
     grid = run_grid(max(taus), taus, panels_per_unit, order)
-    sw = np.sqrt(grid.weights)
-    x = grid.nodes
-    # The weight-symmetrized kernel, sampled once; T_n masks its rows by chi_n.
-    b_full = sw[:, None] * eval_kernel(k, x[:, None], x[None, :]) * sw[None, :]
+    x, w = grid.nodes, grid.weights
+    # The weight-symmetrized kernel, from the run sampling; T_n masks its rows by chi_n.
+    b_full = _weighted_form(_sampling(k, trunc, n_list, np.empty(0), grid).a.entries, w, w)
     norms = []
     eye = np.eye(len(x), dtype=complex)
     for n in n_list:

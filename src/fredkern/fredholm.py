@@ -26,7 +26,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve  # noqa: F401
 
 from .errors import BudgetExceededError
 from .kernels import KernelSpec, TruncationScheme, subkernel_eval
-from .quadrature import DEFAULT_NODE_CEILING, Discretization, NystromMatrix, _with_factors, nystrom_matrix
+from .quadrature import Discretization, NystromMatrix, nystrom_matrix
 
 # Highest series order det_series and minor_series evaluate.
 M_MAX = 8
@@ -39,8 +39,8 @@ NEAR_ZERO_COEFF = 1e-10
 class DetResult:
     """A determinant value with provenance.
 
-    tail_bound is the Hadamard estimate of the dropped series tail (series
-    path only; zero for the matrix path).
+    tail_bound bounds the dropped series tail by Hadamard's inequality on the
+    Nystrom matrix (series path only; zero for the matrix path).
     """
 
     value: complex
@@ -97,17 +97,16 @@ def fredholm_coefficients(a: np.ndarray, m_max: int) -> np.ndarray:
     return c
 
 
-def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
-    """Sum of Hadamard bounds |lambda|^m m^{m/2} (sup|K| vol)^m / m! over m > m_max;
-    inf once a term exceeds the float range.
+def _hadamard_tail(base: float, m_max: int) -> float:
+    """Sum of the Hadamard bounds m^{m/2} base^m / m! over m > m_max (see
+    `det_series`); inf once a term exceeds the float range.
 
-    With b = |lambda| sup|K| vol, the ratio of term m+1 to term m is below
-    rho = b sqrt(e / (m + 1)), which falls with m.  Past the peak of the
-    terms (m > e b^2, so rho < 1) everything after term m is at most
-    term * rho / (1 - rho).  The sum stops once that bound is below 1e-17 of
-    the running total and adds it, so the result stays an upper bound.
+    The ratio of term m+1 to term m is below rho = base sqrt(e / (m + 1)),
+    which falls with m.  Past the peak of the terms (m > e base^2, so
+    rho < 1) everything after term m is at most term * rho / (1 - rho).  The
+    sum stops once that bound is below 1e-17 of the running total and adds
+    it, so the result stays an upper bound.
     """
-    base = abs(lam) * sup_k * vol
     if base == 0.0:
         return 0.0
     log_base = math.log(base)
@@ -131,19 +130,6 @@ def _hadamard_tail(lam: complex, sup_k: float, vol: float, m_max: int) -> float:
     return total
 
 
-def _series_matrix(k, trunc, n, grid):
-    """sup |K_n| over the grid's node pairs and the plain Nystrom matrix of
-    K_n, from one sampling."""
-    if len(grid.nodes) > DEFAULT_NODE_CEILING:
-        raise BudgetExceededError(
-            f"grid has {len(grid.nodes)} nodes, exceeding the ceiling {DEFAULT_NODE_CEILING}"
-        )
-    x = grid.nodes
-    kvals = np.asarray(subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :]))
-    a = NystromMatrix(entries=kvals * grid.weights[None, :], variant="plain", grid=grid)
-    return float(np.max(np.abs(kvals))), _with_factors(a, k, trunc, n)
-
-
 def det_series(
     k: KernelSpec,
     trunc: TruncationScheme,
@@ -152,16 +138,18 @@ def det_series(
     grid: Discretization,
     m_max: int,
 ) -> DetResult:
-    """Partial sum of the determinant series through order m_max, with a
-    Hadamard bound on the dropped tail."""
+    """Partial sum of the determinant series through order m_max, with a bound
+    on the dropped tail, both from the plain Nystrom matrix A of K_n: c_m sums
+    the principal m x m minors of A, each at most m^{m/2} prod_j max_i |A_ij|
+    (Hadamard), so the tail is `_hadamard_tail` at |lambda| sum_j max_i |A_ij|."""
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
-    sup_k, a = _series_matrix(k, trunc, n, grid)
+    a = nystrom_matrix(k, trunc, n, "plain", grid)
     c = fredholm_coefficients(a.core, m_max)
     lam = complex(lam)
     powers = (-lam) ** np.arange(m_max + 1)
     value = complex(np.sum(powers * c))
-    tail = _hadamard_tail(lam, sup_k, 2.0 * trunc.tau(n), m_max)
+    tail = _hadamard_tail(abs(lam) * a.column_max_sum(), m_max)
     return DetResult(value=value, path="series", terms_used=m_max, tail_bound=tail)
 
 
@@ -184,7 +172,7 @@ def minor_series(
     """
     if not 1 <= m_max <= M_MAX:
         raise ValueError(f"m_max must lie in [1, {M_MAX}]")
-    _, a = _series_matrix(k, trunc, n, grid)
+    a = nystrom_matrix(k, trunc, n, "plain", grid)
     c = fredholm_coefficients(a.core, m_max)
     x = grid.nodes
     w = grid.weights

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .kernels import KernelSpec, TruncationScheme, eval_kernel, kernel_factors, subkernel_eval
+from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, kernel_factors, subkernel_eval
 
 SUPPORTED_ORDERS = (4, 8, 16)
 _LEGGAUSS = {order: np.polynomial.legendre.leggauss(order) for order in SUPPORTED_ORDERS}
@@ -52,24 +52,30 @@ class Discretization:
                        panel_count=int(keep.sum()) // self.order, lo=-float(tau), hi=float(tau))
 
 
-@dataclass(frozen=True, eq=False)
 class NystromMatrix:
-    """Collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j.
+    """Collocation matrix A[i,j] = K_variant(x_i, x_j) * w_j, either dense
+    (the sampled `entries`, which are also `core`) or factored, never both.
 
-    When the kernel has exact factors of rank r < N (`_low_rank_factors`),
-    u (N x r) and vt (r x N) hold them and A = u @ vt up to rounding; `core`
-    is then the r x r matrix vt @ u.  By Sylvester's identity det(I - lambda A)
-    = det(I - lambda core), tr(A^k) = tr(core^k), and A and core share their
-    nonzero eigenvalues.  Otherwise u and vt are None and `core` is `entries`.
-    A factored matrix may come without its entries (None), and a core beyond
-    the float range raises BudgetExceededError.
+    A factored matrix, of a kernel with exact factors of rank r < N
+    (`_low_rank_factors`), holds only u (N x r) and vt (r x N), A = u @ vt up
+    to rounding, and forms `entries` = u @ vt when they are first read.  Its
+    `core` is the r x r vt @ u: by Sylvester's identity det(I - lambda A) =
+    det(I - lambda core), tr(A^k) = tr(core^k), and A and core share their
+    nonzero eigenvalues.  A core beyond the float range raises
+    BudgetExceededError.
     """
 
-    entries: np.ndarray | None
-    variant: str
-    grid: Discretization
-    u: np.ndarray | None = None
-    vt: np.ndarray | None = None
+    def __init__(self, entries: np.ndarray | None, variant: str, grid: Discretization,
+                 u: np.ndarray | None = None, vt: np.ndarray | None = None):
+        if (entries is None) == (u is None):
+            raise ValueError("a NystromMatrix holds either its entries or its factors u and vt")
+        if entries is not None:
+            self.entries = entries
+        self.variant, self.grid, self.u, self.vt = variant, grid, u, vt
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.u @ self.vt
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -81,6 +87,12 @@ class NystromMatrix:
             raise BudgetExceededError("the r x r core of a factored Nystrom matrix is beyond the float range")
         return core
 
+    def column_max_sum(self) -> float:
+        """sum_j max_i |A_ij|; a factored A is multiplied out for it, not kept."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = self.entries if self.u is None else self.u @ self.vt
+            return float(np.sum(np.max(np.abs(a), axis=0)))
+
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """A @ b, as u @ (vt @ b) when A is factored."""
         return self.entries @ b if self.u is None else self.u @ (self.vt @ b)
@@ -88,9 +100,9 @@ class NystromMatrix:
     def restrict(self, span: slice, grid: Discretization) -> NystromMatrix:
         """The principal block on the contiguous node range span, whose nodes
         and weights are those of grid (the plain K_n on `inside(tau_n)`)."""
-        entries = None if self.entries is None else self.entries[span, span]
-        u, vt = (None, None) if self.u is None else (self.u[span], self.vt[:, span])
-        return NystromMatrix(entries, self.variant, grid, u, vt)
+        if self.u is None:
+            return NystromMatrix(self.entries[span, span], self.variant, grid)
+        return NystromMatrix(None, self.variant, grid, self.u[span], self.vt[:, span])
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int):
@@ -156,29 +168,25 @@ def nystrom_matrix(
 ) -> NystromMatrix:
     """Collocation matrix of the truncated kernel on the grid.  The grid must
     cover (-tau_n, tau_n); a wider grid (built for a larger index) is fine,
-    the mask then zeroes the out-of-interval rows/columns.  A separable
-    kernel of rank below the node count gives a factored matrix."""
+    the mask then zeroes the out-of-interval rows/columns.  A grid over
+    DEFAULT_NODE_CEILING nodes raises BudgetExceededError.  A separable kernel
+    of rank below the node count gives its masked factors, never sampled N x N."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    x, w = grid.nodes, grid.weights
+    if len(x) > DEFAULT_NODE_CEILING:
+        raise BudgetExceededError(f"grid has {len(x)} nodes, exceeding the ceiling {DEFAULT_NODE_CEILING}")
     if grid.radius + 1e-12 < trunc.tau(n):
-        raise ValueError(
-            f"grid radius {grid.radius:.6g} does not cover tau_n={trunc.tau(n):.6g}"
-        )
-    x = grid.nodes
-    vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
-    vals *= grid.weights
-    return _with_factors(NystromMatrix(entries=vals, variant=variant, grid=grid), k, trunc, n)
-
-
-def _with_factors(m: NystromMatrix, k: KernelSpec, trunc: TruncationScheme, n: int) -> NystromMatrix:
-    """m with the factors of `_low_rank_factors` attached, masked as the
-    truncated kernel: the left one by chi_n, the right one too for "tilde"."""
-    x, w = m.grid.nodes, m.grid.weights
+        raise ValueError(f"grid radius {grid.radius:.6g} does not cover tau_n={trunc.tau(n):.6g}")
     factors = _low_rank_factors(k, x, len(x))
     if factors is None:
-        return m
+        vals = np.asarray(subkernel_eval(k, trunc, n, variant, x[:, None], x[None, :]))
+        vals *= w
+        return NystromMatrix(vals, variant, grid)
     left, right = factors
     chi = trunc.chi(n, x)[:, None]
-    right = right * chi if m.variant == "tilde" else right
-    return replace(m, u=left * chi, vt=(right * w[:, None]).T)
+    right = right * chi if variant == "tilde" else right
+    return NystromMatrix(None, variant, grid, left * chi, (right * w[:, None]).T)
 
 
 def _low_rank_factors(k: KernelSpec, z: np.ndarray, n_nodes: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import CharacteristicValueError, NeumannDivergenceError
+from .errors import BudgetExceededError, CharacteristicValueError, NeumannDivergenceError
 from .fredholm import DetResult, det_from_lu, is_characteristic, shifted_identity
 from .kernels import VARIANTS, KernelSpec, TruncationScheme, eval_kernel, subkernel_eval
 from .quadrature import Discretization, NystromMatrix, _rescaled, nystrom_matrix, operator_norm_estimate
@@ -133,7 +133,7 @@ def _factor(
 ) -> ResolventHandle:
     """The handle of `make_resolvent` for a given plain Nystrom matrix m of
     K_n on its grid: factor I - lambda*A and refuse a characteristic lambda.
-    Only m.entries is read."""
+    Only m.entries is read; a factored m forms them as u @ vt."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lam = complex(lam)
@@ -145,11 +145,14 @@ def _factor(
 def _shifted_factor(a: np.ndarray, lam: complex):
     """LU factors of I - lambda*a and det(I - lambda*a), refusing a
     numerically characteristic lambda.  An exactly zero pivot, which a small
-    core can reach, is det = 0 and raises no singular-matrix warning."""
+    core can reach, is det = 0 and raises no singular-matrix warning; next to
+    a pivot product beyond the float range it raises BudgetExceededError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
         lu_piv = lu_factor(shifted_identity(a, lam), overwrite_a=True, check_finite=False)
     det = det_from_lu(*lu_piv)
+    if not cmath.isfinite(det) and not np.diag(lu_piv[0]).all():
+        raise BudgetExceededError(f"I - lambda*A at lambda={lam} is singular in floating point")
     if is_characteristic(det, lam):
         raise CharacteristicValueError(lam, det)
     return lu_piv, det

@@ -481,11 +481,13 @@ def test_run_sech_past_cosh_overflow_exits_clean(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command, lam", [("det", "1e10"), ("resolvent", "1e10"), ("det", "0.3")],
-                         ids=["det", "resolvent", "det-0.3"])
+@pytest.mark.parametrize("command, lam", [("det", "1e10"), ("resolvent", "1e10"), ("det", "0.3"),
+                                          ("solve", "0.3"), ("resolvent", "0.3")],
+                         ids=["det", "resolvent", "det-0.3", "solve-0.3", "resolvent-0.3"])
 def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command, lam):
     # I - lambda*A overflows for these entries at lambda = 1e10; at 0.3 it
-    # is finite, but its determinant (log|det| = 83409) is not.
+    # is finite, but its determinant (log|det| = 83409) is not, and its LU
+    # has an exactly zero pivot, so the resolvent handle refuses it.
     path = write_config(tmp_path, {"kernel": TABULATED_1E300})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -497,18 +499,23 @@ def test_run_shift_beyond_float_range_exits_budget(tmp_path, capsys, command, la
 
 GAUSS_1E200 = {"family": "separable_sum",
                "terms": [{"coefficient": 1e200, "left": {"kind": "gauss"}, "right": {"kind": "gauss"}}]}
+SINGULAR_1E200 = "E_BUDGET I - lambda*A at lambda=(0.3+0j) is singular in floating point\n"
 
 
 @pytest.mark.parametrize("command, code, prefix", [
     ("tailnorm", 1, "E_BUDGET tail norm at n=2 "),
     ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 "
                     "norm=1.2533141373155004e+200"),
+    ("solve", 1, SINGULAR_1E200),
+    ("resolvent", 1, SINGULAR_1E200),
 ])
 def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code, prefix):
     # The tail norms are about 1e400, beyond the float range, and tailnorm
     # refuses its inf cells.  The operator norm is sqrt(pi/2) 1e200, which
     # the power iteration reaches on its rescaled iterates, and converge
-    # reports it.  No numpy warning reaches stderr.
+    # reports it.  The N x N LU of the resolvent handle has exactly zero
+    # pivots next to pivots of size 1e200, so solve and resolvent refuse it
+    # rather than write NaN cells.  No numpy warning reaches stderr.
     path = write_config(tmp_path, {"kernel": GAUSS_1E200})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -522,13 +529,15 @@ def test_run_norms_beyond_float_range_exit_clean(tmp_path, capsys, command, code
 def test_tailnorm_factors_beyond_float_range_exit_clean(tmp_path, capsys):
     # At coefficient 1.5e308 the r x r cores of the factored matrices
     # overflow, not only the norms.  tailnorm, scan and det refuse the core
-    # with one E_BUDGET line; converge first finds the full kernel's norm
-    # beyond the float range.  No warning reaches stderr.
+    # with one E_BUDGET line, and solve and resolvent their singular LU;
+    # converge first finds the full kernel's norm beyond the float range.
+    # No warning reaches stderr.
     kernel = dict(GAUSS_1E200, terms=[dict(GAUSS_1E200["terms"][0], coefficient=1.5e308)])
     path = write_config(tmp_path, {"kernel": kernel})
     core = "E_BUDGET the r x r core of a factored Nystrom matrix is beyond the float range\n"
     for command, code, want in [
         ("tailnorm", 1, core), ("scan", 1, core), ("det", 1, core),
+        ("solve", 1, SINGULAR_1E200), ("resolvent", 1, SINGULAR_1E200),
         ("converge", 2, "E_NEUMANN_DIVERGENT lambda=2.9999999999999999e-01,0.0000000000000000e+00 "
                         "norm=inf\n"),
     ]:

@@ -620,7 +620,7 @@ def test_factored_convergence_matches_dense(terms, variant, kind, reference, pha
     assert all(abs(f - d) <= 1e-10 * d + 1e-15 for f, d in zip(tail, dense_tail)), (tail, dense_tail)
 
 
-@pytest.mark.parametrize("name", ["neumann_disk", "largest_n", "compact_sweep", "tail"])
+@pytest.mark.parametrize("name", ["neumann_disk", "largest_n", "compact_sweep", "boundedness", "tail"])
 def test_separable_kernel_is_never_sampled_square(rank2, trunc, monkeypatch, name):
     # The factored path samples the kernel's basis functions on the nodes,
     # never K on a product grid.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor
 
 import fredkern as fk
+from conftest import record_square_samplings
 from fredkern.convergence import _DenseRun, _FactoredRun, _sampling
 from fredkern.fredholm import _hadamard_tail, det_from_lu
 from fredkern.kernels import VARIANTS
@@ -74,12 +75,20 @@ def test_entries_bit_identical_to_sampled_kernel(rank2, gcauchy, trunc):
                           table_values=np.arange(16.0).reshape(4, 4) - 7.5)
     grid = fk.grid_on_interval(-5.0, 5.0, 2, 8)  # wider than tau_6 = 4
     x, w = grid.nodes, grid.weights
-    for k in (rank2, complex_k, table, gcauchy):
+    for k in (table, gcauchy):
         for variant in VARIANTS:
             want = fk.subkernel_eval(k, trunc, 6, variant, x[:, None], x[None, :])
             want *= w
             got = fk.nystrom_matrix(k, trunc, 6, variant, grid).entries
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # A separable kernel holds only its factors; its entries are their product
+    # (test_factored_core_matches_dense_entries ties them to the sampled kernel).
+    for k in (rank2, complex_k):
+        for variant in VARIANTS:
+            m = fk.nystrom_matrix(k, trunc, 6, variant, grid)
+            assert m.u is not None and "entries" not in vars(m)
+            want = m.u @ m.vt
+            assert m.entries.dtype == want.dtype and m.entries.tobytes() == want.tobytes()
 
 
 def test_factored_iff_rank_below_node_count(trunc):
@@ -119,6 +128,63 @@ def test_minor_series_applies_factors(rank2, trunc, grid6):
         assert minor / det == pytest.approx(fk.resolvent_eval(h, s, t), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["char_scan", "det_matrix", "det_series", "minor_series", "make_resolvent"])
+def test_fredholm_routes_never_sample_separable_kernel_square(rank2, trunc, grid6, monkeypatch, name):
+    # A separable kernel's Nystrom matrix holds only its factors, so no
+    # Fredholm route samples K on the node grid squared (N = 256).
+    shapes = record_square_samplings(monkeypatch, 64)
+    if name == "char_scan":
+        fk.char_scan(rank2, trunc, 6, (0.0, 2.0, -0.5, 0.5), 4.0, grid6)
+    elif name == "det_matrix":
+        fk.det_matrix(fk.nystrom_matrix(rank2, trunc, 6, "plain", grid6), 0.3)
+    elif name == "det_series":
+        fk.det_series(rank2, trunc, 6, 0.3, grid6, 6)
+    elif name == "minor_series":
+        fk.minor_series(rank2, trunc, 6, 0.3, 0.2, -0.4, grid6, 6)
+    else:
+        fk.make_resolvent(rank2, trunc, 6, 0.3, grid6)
+    assert shapes == []
+
+
+TABLE = fk.KernelSpec("custom_tabulated", table_radius=3.0,
+                      table_values=np.cos(np.arange(25.0)).reshape(5, 5))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    k=st.one_of(st.lists(st.tuples(COEFF, BASIS, BASIS), min_size=1, max_size=12).map(
+        lambda terms: fk.KernelSpec("separable_sum", tuple(terms))),
+        st.just(fk.gauss_cauchy()), st.just(TABLE)),
+    m_max=st.integers(1, fk.fredholm.M_MAX),
+    n=st.integers(1, 6),
+    extra=st.floats(0.0, 2.0),
+    size=st.floats(0.0, 1.5),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_series_tail_bound_covers_matrix_determinant(k, m_max, n, extra, size, phase):
+    # The Hadamard tail bounds the whole dropped series, so the partial sum
+    # stays within it of the determinant, up to rounding.
+    trunc = fk.TruncationScheme()
+    tau = trunc.tau(n)
+    grid = fk.grid_on_interval(-(tau + extra), tau + extra, 1, 8)
+    lam = size * complex(math.cos(phase), math.sin(phase))
+    ds = fk.det_series(k, trunc, n, lam, grid, m_max)
+    det = fk.det_matrix(fk.nystrom_matrix(k, trunc, n, "plain", grid), lam).value
+    assert abs(ds.value - det) <= ds.tail_bound + 1e-12 * max(1.0, abs(det))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_hadamard_base_within_sup_times_length(rank2, gcauchy, trunc, n):
+    # On a grid spanning (-tau_n, tau_n), sum_j max_i |A_ij| is at most
+    # sup |K_n| sum_j w_j = sup |K_n| 2 tau_n.
+    grid = fk.build_grid(trunc, n, 4, 8)
+    x = grid.nodes
+    for k in (rank2, gcauchy, TABLE):
+        sup_k = np.max(np.abs(fk.subkernel_eval(k, trunc, n, "plain", x[:, None], x[None, :])))
+        tail = fk.det_series(k, trunc, n, 0.3, grid, 6).tail_bound
+        assert tail <= _hadamard_tail(0.3 * sup_k * 2.0 * trunc.tau(n), 6)
+
+
 def exact_zero(core):
     """A lambda at which I - lambda*core, for a 1 x 1 core, is exactly 0 in
     floating point."""
@@ -142,10 +208,9 @@ def test_exact_zero_is_a_root_without_warnings(rank1, trunc):
     assert len(zeros) == 1 and abs(zeros[0] - lam) <= 1e-12 * lam
 
 
-def hadamard_tail_reference(lam, sup_k, vol, m_max):
+def hadamard_tail_reference(base, m_max):
     """The Hadamard tail summed term by term to 2000 terms, as it was before
     the geometric stop."""
-    base = abs(lam) * sup_k * vol
     if base == 0.0:
         return 0.0
     log_base = math.log(base)
@@ -168,8 +233,8 @@ def test_hadamard_tail_matches_full_sum(m_max):
     bases = [0.0, 1e-300, 1e-12, 1e-5, 0.01, 0.1, 0.3, 0.7, 1.0, 1.6, 3.0, 6.0, 10.0, 15.0,
              20.0, 22.0, 22.6, 22.8, 23.0, 30.0, 60.0, 1e6]
     for base in bases:
-        want = hadamard_tail_reference(base, 1.0, 1.0, m_max)
-        got = _hadamard_tail(base, 1.0, 1.0, m_max)
+        want = hadamard_tail_reference(base, m_max)
+        got = _hadamard_tail(base, m_max)
         if math.isinf(want):
             assert math.isinf(got), base
         else:

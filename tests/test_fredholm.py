@@ -48,13 +48,15 @@ def test_det_series_higher_terms_vanish_for_rank1(rank1, trunc, grid6):
 
 
 def test_det_series_tail_bound_overflow_is_inf(rank1, trunc):
-    # At |lambda| sup|K| 2 tau_n = 64 the Hadamard terms pass the float range.
-    # The rank-1 series is still exact at m_max = 6.
+    # At the Hadamard base |lambda| sum_j max_i |A_ij| = 40 sqrt(pi) ~ 71 the
+    # terms pass the float range; at lambda = 8 they do not.  The rank-1
+    # series is still exact at m_max = 6.
     grid = fk.build_grid(trunc, 6, 2, 8)
     ds = fk.det_series(rank1, trunc, 6, 8.0, grid, 6)
     dm = fk.det_matrix(fk.nystrom_matrix(rank1, trunc, 6, "plain", grid), 8.0)
     assert abs(ds.value - dm.value) <= 1e-8
-    assert ds.tail_bound == math.inf
+    assert math.isfinite(ds.tail_bound)
+    assert fk.det_series(rank1, trunc, 6, 40.0, grid, 6).tail_bound == math.inf
 
 
 def test_det_from_lu_overflow_is_inf():
@@ -149,6 +151,13 @@ def test_budget_ceiling(rank1, trunc):
         fk.det_series(rank1, trunc, 6, 0.3, grid, 4)
     with pytest.raises(fk.BudgetExceededError):
         fk.minor_series(rank1, trunc, 6, 0.3, 0.0, 0.0, grid, 4)
+    # Every consumer of a hand-built grid meets the ceiling in nystrom_matrix.
+    with pytest.raises(fk.BudgetExceededError):
+        fk.nystrom_matrix(rank1, trunc, 6, "plain", grid)
+    with pytest.raises(fk.BudgetExceededError):
+        fk.char_scan(rank1, trunc, 6, (0.0, 2.0, -0.5, 0.5), 4.0, grid)
+    with pytest.raises(fk.BudgetExceededError):
+        fk.make_resolvent(rank1, trunc, 6, 0.3, grid)
 
 
 def test_fredholm_coefficients_match_power_traces():
